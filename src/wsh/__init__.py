@@ -27,12 +27,11 @@ from .errors import (
     MismatchedDimensions,
     MissingFace,
     MonotonicityViolation,
-    NotInSpan,
     ParseError,
     PrecisionExhausted,
     ZeroChain,
 )
-from .fields import FieldSpec, Matrix, kernel_basis, rank, solve_in_span
+from .fields import FieldSpec, Matrix, rank
 from .fileio import (
     parse_complex_file,
     render_json_report,
@@ -78,7 +77,6 @@ __all__ = [
     "MismatchedDimensions",
     "MissingFace",
     "MonotonicityViolation",
-    "NotInSpan",
     "PairedSimplices",
     "ParseError",
     "PrecisionExhausted",
@@ -99,7 +97,6 @@ __all__ = [
     "homology_all",
     "homology_via_snf",
     "in_column_span",
-    "kernel_basis",
     "lift_cycle",
     "parse_complex_file",
     "rank",
@@ -109,6 +106,5 @@ __all__ = [
     "signed_faces",
     "simplex_pairing",
     "snf_valuations",
-    "solve_in_span",
     "weighted_boundary_matrix",
 ]

@@ -57,10 +57,6 @@ class MismatchedDimensions(ValueError):
     """Vector or matrix shapes do not line up."""
 
 
-class NotInSpan(Exception):
-    """The target vector is not a linear combination of the given columns."""
-
-
 class ZeroChain(ValueError):
     """A chain with empty support where a nonzero one is required."""
 

@@ -2,36 +2,54 @@
 
 Scalars are plain Python values: Fraction for the rationals, ints in
 range(p) for GF(p). A FieldSpec bundles the arithmetic so everything
-downstream stays field generic. Matrices are small and dense; boundary
-matrices enter as per-column sparse data and are densified only for the
-eliminations, which at this scale is the simplest exact approach.
+downstream stays field generic. The fast path in wsh.homology works on
+sparse vectors of these scalars; the dense Matrix with rank and
+row_reduce here is kept as a plain reference that shares no code with
+it, for independent checks of its results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MismatchedDimensions, NotInSpan
+from .errors import MismatchedDimensions
 
 __all__ = [
     "FieldSpec",
     "Matrix",
     "rank",
-    "kernel_basis",
-    "solve_in_span",
-    "row_reduce_with_ops",
-    "apply_row_ops",
+    "row_reduce",
 ]
 
 
+# The first 13 primes are a deterministic Miller-Rabin witness set for every
+# n below this bound (Sorenson and Webster, Math. Comp. 86, 2017), so larger
+# field orders are refused rather than tested probabilistically.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_FIELD_ORDER = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin, exact for n < MAX_FIELD_ORDER."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -41,6 +59,8 @@ class FieldSpec:
     __slots__ = ("p",)
 
     def __init__(self, p=None):
+        if p is not None and p >= MAX_FIELD_ORDER:
+            raise ValueError(f"field order must be below {MAX_FIELD_ORDER}, got {p!r}")
         if p is not None and not _is_prime(p):
             raise ValueError(f"field order must be prime, got {p!r}")
         self.p = p
@@ -58,12 +78,9 @@ class FieldSpec:
         """Parse 'rational' or 'gf:<p>'."""
         if name == "rational":
             return cls(None)
-        if name.startswith("gf:"):
-            try:
-                p = int(name[3:])
-            except ValueError:
-                raise ValueError(f"bad field name {name!r}") from None
-            return cls(p)
+        digits = name[3:]
+        if name.startswith("gf:") and digits.isascii() and digits.isdigit():
+            return cls(int(digits))
         raise ValueError(f"bad field name {name!r}")
 
     @property
@@ -143,31 +160,8 @@ class Matrix:
         z = field.zero()
         return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
 
-    @classmethod
-    def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        one = field.one()
-        for i in range(n):
-            m.rows[i][i] = one
-        return m
-
-    @classmethod
-    def from_columns(cls, field, columns, nrows):
-        """Build from a list of length-nrows column vectors."""
-        for c in columns:
-            if len(c) != nrows:
-                raise MismatchedDimensions(f"column of length {len(c)}, expected {nrows}")
-        m = cls.zeros(field, nrows, len(columns))
-        for j, c in enumerate(columns):
-            for i, v in enumerate(c):
-                m.rows[i][j] = v
-        return m
-
     def column(self, j):
         return [r[j] for r in self.rows]
-
-    def copy(self):
-        return Matrix(self.field, self.rows, ncols=self.ncols)
 
     def transpose(self):
         t = Matrix.zeros(self.field, self.ncols, self.nrows)
@@ -201,18 +195,11 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"
 
 
-def row_reduce_with_ops(matrix: Matrix):
-    """Reduced row echelon form with a replayable operation log.
-
-    Returns (reduced, pivots, ops). pivots is a list of (row, col) pairs.
-    ops entries are ("swap", i, j), ("scale", i, c) for row_i *= c, and
-    ("addmul", i, j, c) for row_i += c * row_j. Replaying ops on the input
-    (see apply_row_ops) reproduces the reduced matrix exactly.
-    """
+def row_reduce(matrix: Matrix):
+    """Reduced row echelon form: returns (reduced, pivots), pivots as (row, col) pairs."""
     F = matrix.field
     a = [list(r) for r in matrix.rows]
     nrows, ncols = matrix.nrows, matrix.ncols
-    ops = []
     pivots = []
     pr = 0
     for col in range(ncols):
@@ -223,83 +210,18 @@ def row_reduce_with_ops(matrix: Matrix):
         if not candidates:
             continue
         piv = next((i for i in candidates if F.is_pm_one(a[i][col])), candidates[0])
-        if piv != pr:
-            a[piv], a[pr] = a[pr], a[piv]
-            ops.append(("swap", piv, pr))
+        a[piv], a[pr] = a[pr], a[piv]
         if a[pr][col] != F.one():
             c = F.inv(a[pr][col])
             a[pr] = [F.mul(c, v) for v in a[pr]]
-            ops.append(("scale", pr, c))
         for i in range(nrows):
             if i != pr and not F.is_zero(a[i][col]):
                 c = F.neg(a[i][col])
                 a[i] = [F.add(v, F.mul(c, w)) for v, w in zip(a[i], a[pr])]
-                ops.append(("addmul", i, pr, c))
         pivots.append((pr, col))
         pr += 1
-    return Matrix(F, a, ncols=ncols), pivots, ops
-
-
-def apply_row_ops(ops, matrix: Matrix) -> Matrix:
-    """Replay an operation log from row_reduce_with_ops on a fresh copy."""
-    F = matrix.field
-    a = [list(r) for r in matrix.rows]
-    for op in ops:
-        if op[0] == "swap":
-            _, i, j = op
-            a[i], a[j] = a[j], a[i]
-        elif op[0] == "scale":
-            _, i, c = op
-            a[i] = [F.mul(c, v) for v in a[i]]
-        elif op[0] == "addmul":
-            _, i, j, c = op
-            a[i] = [F.add(v, F.mul(c, w)) for v, w in zip(a[i], a[j])]
-        else:
-            raise ValueError(f"unknown op {op!r}")
-    return Matrix(F, a, ncols=matrix.ncols)
+    return Matrix(F, a, ncols=ncols), pivots
 
 
 def rank(matrix: Matrix) -> int:
-    _, pivots, _ = row_reduce_with_ops(matrix)
-    return len(pivots)
-
-
-def kernel_basis(matrix: Matrix):
-    """Basis of the right kernel, one dense column vector per free column."""
-    F = matrix.field
-    reduced, pivots, _ = row_reduce_with_ops(matrix)
-    pivot_cols = {c: r for r, c in pivots}
-    basis = []
-    for free in range(matrix.ncols):
-        if free in pivot_cols:
-            continue
-        v = [F.zero()] * matrix.ncols
-        v[free] = F.one()
-        for c, r in pivot_cols.items():
-            v[c] = F.neg(reduced.rows[r][free])
-        basis.append(v)
-    return Matrix.from_columns(F, basis, matrix.ncols)
-
-
-def solve_in_span(columns: Matrix, target):
-    """Coefficients c with columns * c == target, or raise NotInSpan.
-
-    Free coordinates, if any, are set to zero; when the columns are linearly
-    independent the solution is unique.
-    """
-    if len(target) != columns.nrows:
-        raise MismatchedDimensions(
-            f"target of length {len(target)}, columns have {columns.nrows} rows"
-        )
-    F = columns.field
-    aug = Matrix.zeros(F, columns.nrows, columns.ncols + 1)
-    for i in range(columns.nrows):
-        aug.rows[i][: columns.ncols] = columns.rows[i]
-        aug.rows[i][columns.ncols] = target[i]
-    reduced, pivots, _ = row_reduce_with_ops(aug)
-    coeffs = [F.zero()] * columns.ncols
-    for r, c in pivots:
-        if c == columns.ncols:
-            raise NotInSpan("target is outside the column span")
-        coeffs[c] = reduced.rows[r][columns.ncols]
-    return coeffs
+    return len(row_reduce(matrix)[1])

@@ -2,7 +2,7 @@
 
 The file format is line based. Each record is the vertices of a simplex
 separated by whitespace, then a semicolon, then a non-negative integer
-weight:
+weight written in ASCII digits:
 
     a b c ; 2
 
@@ -46,6 +46,16 @@ def _decorate(err, line_of):
     raise err
 
 
+def _weight(lineno, text, what):
+    # int() alone would also take '1_0', '+3' and non-ASCII digits such as '٣'
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    raise ParseError(lineno, f"bad {what} {text!r}: expected ASCII digits 0-9")
+
+
 def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
     """Parse the record format into a validated complex.
 
@@ -65,13 +75,7 @@ def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
             parts = line[1:].split()
             if len(parts) != 2 or parts[0] != "maximal":
                 raise ParseError(lineno, f"unknown directive {line!r}")
-            try:
-                default = int(parts[1])
-            except ValueError:
-                raise ParseError(lineno, f"bad default weight {parts[1]!r}") from None
-            if default < 0:
-                raise ParseError(lineno, "default weight must be non-negative")
-            return _parse_maximal(lines, lineno, default)
+            return _parse_maximal(lines, lineno, _weight(lineno, parts[1], "default weight"))
         if line.count(";") != 1:
             raise ParseError(lineno, "expected 'v1 v2 ... ; weight'")
         left, right = line.split(";")
@@ -80,12 +84,7 @@ def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
             raise ParseError(lineno, "record has no vertices")
         if len(set(labels)) != len(labels):
             raise ParseError(lineno, f"repeated vertex in {' '.join(labels)!r}")
-        try:
-            weight = int(right.strip())
-        except ValueError:
-            raise ParseError(lineno, f"bad weight {right.strip()!r}") from None
-        if weight < 0:
-            raise ParseError(lineno, "weight must be non-negative")
+        weight = _weight(lineno, right.strip(), "weight")
         key = tuple(sorted(labels))
         if key in line_of:
             raise ParseError(

@@ -1,27 +1,35 @@
-"""Homology of weighted complexes over F[[pi]].
+"""Homology of weighted complexes over F[[pi]], computed as persistence.
 
-All linear algebra here runs over the coefficient field F. The valuation
-ring structure enters only through processing orders, through the exponent
-by which a cycle lifts, and through the exponent attached to each pair.
+All linear algebra runs over the coefficient field F. The weights are a
+filtration read in decreasing order: a simplex enters when the scan
+reaches its weight, after its faces, which are at least as heavy. An
+R/(pi^m) summand of H_n is then a bar of length m: a class born with its
+cycle owner kappa dies when the (n+1)-simplex mu, m weight steps lighter,
+makes it a boundary. Bars of length 0 vanish from the module, and owners
+that never die give the free summands.
 
-The computation in each dimension n has two stages.
+Each dimension takes one sparse pass per stage over {index: scalar}
+vectors.
 
-Stage one (cycle_basis) scans the n-simplices by decreasing weight, ties in
-ascending lexicographic order, and greedily splits them: a simplex whose
-boundary is dependent on the boundaries of the earlier independent ones
-receives a cycle in which it appears with coefficient one and minimal
-weight; the rest keep linearly independent boundary columns. The cycles
-span the kernel of the ordinary boundary map, and each dependent simplex
-appears in no cycle but its own.
+Stage one (cycle_basis) reduces the boundary columns of the n-simplices
+in processing order, decreasing weight with ties in ascending
+lexicographic order, pivoting on the largest row index. A column that
+reduces to zero marks a dependent simplex, and the chain whose boundary
+it was becomes that simplex's cycle: the owner has coefficient one and
+minimal weight, and no other dependent simplex appears in it. The rest
+keep linearly independent boundary columns. Cycle coefficients over the
+independent simplices are unique, so the cycles do not depend on how the
+columns are eliminated.
 
 Stage two (simplex_pairing) expresses the boundaries of the independent
-(n+1)-simplices in that cycle basis. Because each dependent n-simplex is
-exclusive to its own cycle, the coefficient on a cycle equals the signed
-incidence coefficient of its owner, so the projection matrix is read off
-the face lists directly. A single greedy column scan with eliminations
-then pairs cycle owners with (n+1)-simplices; the weight drop across a
-pair is the pi-power of one torsion summand, and unpaired owners give
-free summands.
+(n+1)-simplices in that cycle basis. Because each owner is exclusive to
+its own cycle, the coefficient on a cycle equals the signed incidence
+number of its owner, read off the face list. Owners are scanned by
+increasing weight and each takes the first live image row, by decreasing
+weight, that meets it; that row is then eliminated from the others. The
+weight drop kappa -> mu is the bar length. Pivots depend only on the row
+and column orders, so the pairs are those of any elimination with these
+orders.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
 from .complexes import WeightedComplex, boundary_exponent_matrix, signed_faces
-from .errors import DimensionOutOfRange, MismatchedDimensions, ZeroChain
+from .errors import ComplexError, DimensionOutOfRange, MismatchedDimensions, ZeroChain
 from .fields import FieldSpec
 
 __all__ = [
@@ -49,7 +57,7 @@ __all__ = [
 
 @dataclass
 class CycleBasis:
-    """Split of the n-simplices produced by the greedy boundary scan.
+    """Split of the n-simplices produced by the boundary column reduction.
 
     dependent: simplices owning a cycle, in processing order.
     independent: simplices whose boundary columns are linearly independent.
@@ -83,7 +91,7 @@ class PairedSimplices(NamedTuple):
 
 @dataclass
 class SimplexPairing:
-    """Result of the greedy column scan in dimension n.
+    """Result of the owner scan in dimension n.
 
     pairs come in scan order (cycle owners by increasing weight). Each pair
     carries the coefficients the selected row had at pairing time, expressed
@@ -113,53 +121,16 @@ class HomologyModule:
     generators: list | None = None
 
 
-class _SpanTracker:
-    """Incremental column elimination with combination tracking.
-
-    Inserted columns stay linearly independent. For a query vector the
-    tracker either returns its unique coefficients over the inserted
-    columns or None when it falls outside their span. Reduced columns are
-    kept with the combination that produced them, so each query is a single
-    back-reduction pass; answers agree with solve_in_span on the same data.
-    """
-
-    def __init__(self, field, nrows):
-        self.field = field
-        self.nrows = nrows
-        self.count = 0
-        self._reduced = []  # (pivot row, reduced column, combination over inserted columns)
-
-    def _reduce(self, vec):
-        F = self.field
-        v = list(vec)
-        combo = [F.zero()] * self.count
-        for pivot, col, c in self._reduced:
-            if F.is_zero(v[pivot]):
-                continue
-            f = F.div(v[pivot], col[pivot])
-            for i in range(self.nrows):
-                if not F.is_zero(col[i]):
-                    v[i] = F.sub(v[i], F.mul(f, col[i]))
-            for j in range(len(c)):
-                combo[j] = F.add(combo[j], F.mul(f, c[j]))
-        return v, combo
-
-    def coefficients(self, vec):
-        v, combo = self._reduce(vec)
-        if any(not self.field.is_zero(x) for x in v):
-            return None
-        return combo
-
-    def insert(self, vec):
-        F = self.field
-        v, combo = self._reduce(vec)
-        pivot = next(i for i in range(self.nrows) if not F.is_zero(v[i]))
-        self.count += 1
-        full = [F.neg(x) for x in combo] + [F.one()]
-        for k in range(len(self._reduced)):
-            p, col, c = self._reduced[k]
-            self._reduced[k] = (p, col, c + [F.zero()])
-        self._reduced.append((pivot, v, full))
+def _add_multiple(target, factor, source, field):
+    """target += factor * source on sparse {index: scalar} vectors, dropping zeros."""
+    for k, v in source.items():
+        x = field.mul(factor, v)
+        if k in target:
+            x = field.add(target[k], x)
+        if field.is_zero(x):
+            target.pop(k, None)
+        else:
+            target[k] = x
 
 
 def _processing_order(X, n):
@@ -168,42 +139,44 @@ def _processing_order(X, n):
 
 
 def cycle_basis(X: WeightedComplex, n: int, field: FieldSpec) -> CycleBasis:
-    """Greedy kernel basis of the dimension-n boundary map over the field."""
+    """Kernel basis of the dimension-n boundary map, one cycle per dependent simplex."""
     if n < 0:
         raise DimensionOutOfRange(n)
-    simplices = X.n_simplices(n)
-    if not simplices:
+    if not X.n_simplices(n):
         return CycleBasis(n, [], [], {})
+    order = _processing_order(X, n)
     if n == 0:
         # zero boundary: every vertex owns the cycle consisting of itself
-        order = _processing_order(X, 0)
         return CycleBasis(0, order, [], {v: {v: field.one()} for v in order})
 
     bm = boundary_exponent_matrix(X, n)
     col_pos = {s: j for j, s in enumerate(bm.col_simplices)}
-    nrows = len(bm.row_simplices)
-
-    def column(s):
-        vec = [field.zero()] * nrows
-        for row, sign, _exp in bm.columns[col_pos[s]]:
-            vec[row] = field.from_int(sign)
-        return vec
-
-    tracker = _SpanTracker(field, nrows)
+    # pivot row -> (reduced column scaled to a unit pivot, chain it bounds);
+    # chains are keyed by position in the processing order
+    reduced = {}
     dependent, independent, cycles = [], [], {}
-    for s in _processing_order(X, n):
-        target = column(s)
-        coeffs = tracker.coefficients(target)
-        if coeffs is None:
-            tracker.insert(target)
+    for i, s in enumerate(order):
+        column = {row: field.from_int(sign) for row, sign, _exp in bm.columns[col_pos[s]]}
+        chain = {i: field.one()}
+        while column:
+            pivot = max(column)
+            if pivot not in reduced:
+                break
+            f = field.neg(column[pivot])
+            pivot_column, pivot_chain = reduced[pivot]
+            _add_multiple(column, f, pivot_column, field)
+            _add_multiple(chain, f, pivot_chain, field)
+        if column:
+            inv = field.inv(column[pivot])
+            reduced[pivot] = (
+                {r: field.mul(inv, c) for r, c in column.items()},
+                {k: field.mul(inv, c) for k, c in chain.items()},
+            )
             independent.append(s)
         else:
-            chain = {s: field.one()}
-            for mu, c in zip(independent, coeffs):
-                if not field.is_zero(c):
-                    chain[mu] = field.neg(c)
+            del chain[i]
             dependent.append(s)
-            cycles[s] = chain
+            cycles[s] = {s: field.one(), **{order[k]: chain[k] for k in sorted(chain)}}
     return CycleBasis(n, dependent, independent, cycles)
 
 
@@ -233,56 +206,65 @@ def simplex_pairing(
 ) -> SimplexPairing:
     """Pair cycle owners in dimension n against independent (n+1)-simplices.
 
-    Owners are scanned by increasing weight (ties lexicographic), candidate
-    rows by decreasing weight. Each column takes the first unused row with a
-    nonzero entry; the entry's column is then cleared from the other rows
-    and the used row is zeroed out elsewhere, keeping later choices valid.
-    Every independent (n+1)-simplex ends up in exactly one pair because
-    their boundaries are linearly independent.
+    Owners are scanned by increasing weight (ties lexicographic), image
+    rows by decreasing weight. Each owner takes the first live row with a
+    nonzero entry on it; that row is retired and eliminated from the other
+    live rows that meet the owner, keeping later choices valid. Every
+    independent (n+1)-simplex ends up in exactly one pair because their
+    boundaries are linearly independent.
     """
     owners = sorted(basis_n.dependent, key=lambda s: (X.weight(s), s))
     images = sorted(basis_up.independent, key=lambda s: (-X.weight(s), s))
-    q, p = len(owners), len(images)
-    owner_pos = {s: i for i, s in enumerate(owners)}
+    owner_pos = {s: k for k, s in enumerate(owners)}
 
-    # projection of each boundary onto the cycle basis: owner exclusivity
-    # makes the cycle coefficient equal the raw incidence coefficient
+    # row j is the boundary of images[j] over the cycle basis: owner
+    # exclusivity makes each coefficient the raw incidence number of the
+    # owner. rows_meeting[k] holds the live rows with a nonzero entry at k.
     rows = []
-    for mu in images:
-        row = [field.zero()] * q
+    rows_meeting = [set() for _ in owners]
+    for j, mu in enumerate(images):
+        row = {}
         for face, sign in signed_faces(mu):
-            i = owner_pos.get(face)
-            if i is not None:
-                row[i] = field.from_int(sign)
+            k = owner_pos.get(face)
+            if k is not None:
+                row[k] = field.from_int(sign)
+                rows_meeting[k].add(j)
         rows.append(row)
 
     pairs, unpaired, row_coeffs = [], [], []
-    used = [False] * p
     for k, kappa in enumerate(owners):
-        j_k = next((j for j in range(p) if not used[j] and not field.is_zero(rows[j][k])), None)
-        if j_k is None:
+        live = rows_meeting[k]
+        if not live:
             unpaired.append(kappa)
             continue
+        j_k = min(live)
+        picked = rows[j_k]
+        for i in picked:
+            rows_meeting[i].discard(j_k)
         mu = images[j_k]
         m = X.weight(kappa) - X.weight(mu)
-        assert m >= 0, "weight monotonicity should keep pair exponents non-negative"
-        snapshot = {
-            owners[i]: rows[j_k][i] for i in range(q) if not field.is_zero(rows[j_k][i])
-        }
+        if m < 0:
+            raise ComplexError(
+                f"pair {{{' '.join(kappa)}}} / {{{' '.join(mu)}}} has negative exponent {m}: "
+                "weights must not increase from a face to its coface"
+            )
         pairs.append(PairedSimplices(kappa, mu, m))
-        row_coeffs.append(snapshot)
-        used[j_k] = True
-        pivot = rows[j_k][k]
-        for j in range(p):
-            if j != j_k and not used[j] and not field.is_zero(rows[j][k]):
-                f = field.div(rows[j][k], pivot)
-                rows[j] = [
-                    field.sub(a, field.mul(f, b)) for a, b in zip(rows[j], rows[j_k])
-                ]
-        rows[j_k] = [field.zero()] * q
-        rows[j_k][k] = pivot
+        row_coeffs.append({owners[i]: picked[i] for i in sorted(picked)})
+        inv = field.inv(picked[k])
+        for j in list(live):
+            row = rows[j]
+            _add_multiple(row, field.neg(field.mul(row[k], inv)), picked, field)
+            for i in picked:
+                if i in row:
+                    rows_meeting[i].add(j)
+                else:
+                    rows_meeting[i].discard(j)
 
-    assert len(pairs) == p, "independent boundaries must all be paired"
+    if len(pairs) != len(images):
+        raise ComplexError(
+            f"{len(images) - len(pairs)} independent {n + 1}-simplices left unpaired: "
+            "the cycle bases do not belong to this complex"
+        )
     return SimplexPairing(n, pairs, unpaired, row_coeffs)
 
 
@@ -314,7 +296,12 @@ def _module_from_pairing(X, n, basis_n, pairing, field, with_generators):
             chain = _combine_cycles(pairing.row_coefficients[i], basis_n, field)
             lifted = lift_cycle(chain, X, field)
             # the paired owner keeps the minimal weight in the combination
-            assert min(X.weight(s) for s in lifted.terms) == X.weight(pairing.pairs[i].kappa)
+            kappa = pairing.pairs[i].kappa
+            if min(X.weight(s) for s in lifted.terms) != X.weight(kappa):
+                raise ComplexError(
+                    f"torsion generator of {{{' '.join(kappa)}}} is lighter than its owner: "
+                    "weights must not increase from a face to its coface"
+                )
             generators.append(lifted)
     return HomologyModule(n, free_rank, torsion, pairing, generators)
 

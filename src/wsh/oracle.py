@@ -375,7 +375,8 @@ def _eliminate(a, nrows, ncols, track_cols=False, target=None, cutoff=None):
                     row_i[j] = row_i[j] - f * row_r[j]
             if target is not None:
                 target[i] = target[i] - f * target[r]
-            assert row_i[r].is_zero()
+            if not row_i[r].is_zero():
+                raise PrecisionExhausted("elimination left a nonzero entry below the pivot")
         for j in range(r + 1, ncols):
             entry = a[r][j]
             if entry.is_zero():
@@ -391,7 +392,8 @@ def _eliminate(a, nrows, ncols, track_cols=False, target=None, cutoff=None):
         if cutoff is not None:
             cutoff -= v
         r += 1
-    assert vals == sorted(vals)
+    if vals != sorted(vals):
+        raise PrecisionExhausted("pivot valuations are not ascending")
     return vals, V
 
 

@@ -111,7 +111,8 @@ def random_weighted_complex(rng, max_vertices=7, max_dim=3, max_weight=5, max_si
 
     Maximal simplices are sampled and closed under faces; weights are
     assigned by decreasing dimension so each face stays at least as heavy
-    as its heaviest coface.
+    as its heaviest coface. Ties are visited lexicographically, never in set
+    order, so the corpus does not depend on string hash seeding.
     """
     nv = rng.randint(1, max_vertices)
     verts = [f"v{i}" for i in range(nv)]
@@ -139,7 +140,7 @@ def random_weighted_complex(rng, max_vertices=7, max_dim=3, max_weight=5, max_si
     if not chosen:
         chosen = {(verts[0],)}
     weights = {}
-    for s in sorted(chosen, key=len, reverse=True):
+    for s in sorted(chosen, key=lambda t: (-len(t), t)):
         floor = max(
             (weights[t] for t in chosen if len(t) == len(s) + 1 and set(s) <= set(t)),
             default=0,

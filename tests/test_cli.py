@@ -80,6 +80,7 @@ def test_usage_errors_exit_1(tetra_file, capsys):
     assert main([]) == 1
     assert main(["--field", "gf:4", tetra_file]) == 1
     assert main(["--field", "nonsense", tetra_file]) == 1
+    assert main(["--field", "gf:3317044064679887385961981", tetra_file]) == 1
     assert main(["--dim", "-1", tetra_file]) == 1
     assert main(["--no-such-flag", tetra_file]) == 1
 
@@ -95,6 +96,10 @@ def test_input_errors_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty.cplx"
     empty.write_text("# only a comment\n")
     assert main([str(empty)]) == 2
+    underscored = tmp_path / "underscored.cplx"
+    underscored.write_text("a ; 1_0\n")
+    assert main([str(underscored)]) == 2
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_maximal_mode_through_cli(tmp_path, capsys):

@@ -69,6 +69,14 @@ def test_parse_error_cases():
         parse_complex_file("!frobnicate 3\na ; 1\n")
     with pytest.raises(ParseError):
         parse_complex_file("!maximal x\na\n")
+    # int() accepts these spellings; the format takes ASCII digits only
+    for weight in ("1_0", "\u0663", "+3"):
+        with pytest.raises(ParseError) as ei:
+            parse_complex_file(f"a ; 1\nb ; {weight}\n")
+        assert ei.value.line == 2
+        with pytest.raises(ParseError) as ei:
+            parse_complex_file(f"# header\n!maximal {weight}\na b\n")
+        assert ei.value.line == 2
     with pytest.raises(ParseError):
         parse_complex_file("a ; 1\n!maximal 0\n")
     with pytest.raises(ParseError):

@@ -1,8 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import wsh
 from wsh import (
     DimensionOutOfRange,
     MismatchedDimensions,
@@ -200,3 +204,27 @@ def test_homology_all_consistent_with_single_calls(glued_triangles):
 def test_homology_out_of_range(hollow_triangle):
     with pytest.raises(DimensionOutOfRange):
         homology(hollow_triangle, -1, Q)
+
+
+def test_negative_pair_exponent_raises_under_optimize():
+    # the complex skips validation: its edge is heavier than both vertices.
+    # The check must survive python -O, which strips asserts
+    code = (
+        "from wsh import ComplexError, FieldSpec, homology_all\n"
+        "from wsh.complexes import WeightedComplex\n"
+        "X = WeightedComplex({('a',): 1, ('b',): 1, ('a', 'b'): 5})\n"
+        "try:\n"
+        "    homology_all(X, FieldSpec.rationals())\n"
+        "except ComplexError as e:\n"
+        "    print('raised:', e)\n"
+    )
+    src = str(pathlib.Path(wsh.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised:") and "negative exponent -4" in done.stdout
