@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 for usage errors, 2 for input that fails
 validation, 3 when --check finds a disagreement between the fast path and
-the verification path.
+the verification path, or when the fast path's own consistency checks fail.
 """
 
 from __future__ import annotations
@@ -101,13 +101,18 @@ def main(argv=None) -> int:
         print(f"wsh: error: {args.file}: {e}", file=sys.stderr)
         return INPUT_ERROR
 
-    if args.dim is not None:
-        if args.dim < 0:
-            print("wsh: error: --dim must be non-negative", file=sys.stderr)
-            return USAGE_ERROR
-        modules = [homology(X, args.dim, field, with_generators=args.generators)]
-    else:
-        modules = homology_all(X, field, with_generators=args.generators)
+    if args.dim is not None and args.dim < 0:
+        print("wsh: error: --dim must be non-negative", file=sys.stderr)
+        return USAGE_ERROR
+    try:
+        if args.dim is not None:
+            modules = [homology(X, args.dim, field, with_generators=args.generators)]
+        else:
+            modules = homology_all(X, field, with_generators=args.generators)
+    except ComplexError as e:
+        where = f"H_{args.dim}: " if args.dim is not None else ""
+        print(f"wsh: error: {where}{e}", file=sys.stderr)
+        return CHECK_MISMATCH
 
     if args.check:
         mismatches = []

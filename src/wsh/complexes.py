@@ -21,6 +21,7 @@ from .errors import (
     InvalidSimplex,
     MissingFace,
     MonotonicityViolation,
+    SimplexTooLarge,
 )
 
 __all__ = [
@@ -160,28 +161,54 @@ def build_complex(pairs) -> WeightedComplex:
     return WeightedComplex(weights)
 
 
-def _closure(label_simplices):
-    out = set(label_simplices)
-    frontier = list(out)
-    while frontier:
-        s = frontier.pop()
-        if len(s) == 1:
-            continue
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            if face not in out:
-                out.add(face)
-                frontier.append(face)
+# 2**20 - 1 = 1,048,575 faces: the most one record may make the closure list
+MAX_CLOSURE_VERTICES = 20
+
+
+def _closable_labels(vertices):
+    """Canonical labels of a record whose faces will be filled in, refused
+    before any enumeration when it has more than MAX_CLOSURE_VERTICES vertices."""
+    labels = _canonical_labels(vertices)
+    if len(labels) > MAX_CLOSURE_VERTICES:
+        raise SimplexTooLarge(labels, MAX_CLOSURE_VERTICES)
+    return labels
+
+
+def _heaviest_cofaces(listed):
+    """{face: weight of the heaviest listed simplex containing it} over the
+    closure of the listed simplices (a listed simplex contains itself).
+
+    Top-down, one dimension at a time: every simplex of the closure pushes
+    its value to its facets once, so the work is linear in the faces.
+    """
+    by_size = {}
+    for s, w in listed.items():
+        by_size.setdefault(len(s), []).append((s, w))
+    out = {}
+    level = {}
+    for k in range(max(by_size), 0, -1):
+        for s, w in by_size.get(k, ()):
+            if level.get(s, -1) < w:
+                level[s] = w
+        out.update(level)
+        # the vertices push to the empty face, which is never read
+        below = {}
+        for s, w in level.items():
+            for i in range(k):
+                face = s[:i] + s[i + 1 :]
+                if below.get(face, -1) < w:
+                    below[face] = w
+        level = below
     return out
 
 
 def from_maximal(simplices, weight: int) -> WeightedComplex:
     """Closure of the given simplices with one uniform weight."""
-    tops = [_canonical_labels(s) for s in simplices]
+    tops = [_closable_labels(s) for s in simplices]
     if not tops:
         raise EmptyInput("no simplices given")
     _check_weight(tops[0], weight)
-    return WeightedComplex({s: weight for s in _closure(tops)})
+    return WeightedComplex(_heaviest_cofaces(dict.fromkeys(tops, weight)))
 
 
 def complete_faces(pairs) -> WeightedComplex:
@@ -189,29 +216,31 @@ def complete_faces(pairs) -> WeightedComplex:
 
     A missing face receives the maximum weight among the listed simplices
     that contain it, the least weight that keeps monotonicity possible.
-    The listed simplices themselves must already be mutually monotone.
+    The listed simplices themselves must already be mutually monotone: the
+    first listed simplex, by dimension and then listing order, that has a
+    heavier listed coface raises MonotonicityViolation against the first
+    such coface in the same order. A record with more than
+    MAX_CLOSURE_VERTICES vertices raises SimplexTooLarge before any face is
+    generated. The work is linear in the number of faces of the closure.
     """
     listed = {}
     for vertices, w in pairs:
-        labels = _canonical_labels(vertices)
+        labels = _closable_labels(vertices)
         _check_weight(labels, w)
         if labels in listed:
             raise DuplicateSimplex(labels)
         listed[labels] = w
     if not listed:
         raise EmptyInput("no simplices given")
+    weights = _heaviest_cofaces(listed)
     items = sorted(listed.items(), key=lambda kv: len(kv[0]))
-    for i, (s, ws) in enumerate(items):
-        sset = set(s)
-        for t, wt in items[i + 1 :]:
-            if len(t) > len(s) and sset.issubset(t) and ws < wt:
-                raise MonotonicityViolation(s, t, ws, wt)
-    weights = dict(listed)
-    for face in _closure(listed):
-        if face in weights:
-            continue
-        fset = set(face)
-        weights[face] = max(w for s, w in listed.items() if fset.issubset(s))
+    for s, ws in items:
+        if weights[s] > ws:
+            sset = set(s)
+            t, wt = next(
+                (t, wt) for t, wt in items if len(t) > len(s) and ws < wt and sset.issubset(t)
+            )
+            raise MonotonicityViolation(s, t, ws, wt)
     return build_complex(weights.items())
 
 

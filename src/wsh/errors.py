@@ -43,6 +43,18 @@ class MonotonicityViolation(ComplexError):
         )
 
 
+class SimplexTooLarge(ComplexError):
+    """A record whose faces would be filled in has too many vertices."""
+
+    def __init__(self, simplex, limit, message=None):
+        self.simplex = tuple(simplex)
+        super().__init__(
+            message
+            or f"simplex with {len(self.simplex)} vertices would have {2 ** len(self.simplex) - 1} "
+            f"faces; filling in faces takes at most {limit} vertices ({2 ** limit - 1} faces)"
+        )
+
+
 class EmptyInput(ComplexError):
     """No simplices were supplied."""
 

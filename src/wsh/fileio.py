@@ -8,7 +8,8 @@ weight written in ASCII digits:
 
 Full-line comments start with '#', blank lines are skipped. If the first
 significant line is '!maximal W', only maximal simplices need to be listed:
-every missing face is added with the weight W.
+every missing face is added with the weight W. Wherever faces are filled in,
+a record may have at most complexes.MAX_CLOSURE_VERTICES vertices.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     MissingFace,
     MonotonicityViolation,
     ParseError,
+    SimplexTooLarge,
 )
 
 __all__ = [
@@ -38,7 +40,7 @@ def _decorate(err, line_of):
     key = None
     if isinstance(err, MonotonicityViolation):
         key = err.face if err.face in line_of else err.coface
-    elif isinstance(err, (DuplicateSimplex, MissingFace)):
+    elif isinstance(err, (DuplicateSimplex, MissingFace, SimplexTooLarge)):
         key = err.simplex
     if key is not None and key in line_of:
         err.line = line_of[key]
@@ -129,7 +131,10 @@ def _parse_maximal(lines, directive_lineno: int, weight: int) -> WeightedComplex
         simplices.append(labels)
     if not simplices:
         raise EmptyInput("no simplices in input")
-    return from_maximal(simplices, weight)
+    try:
+        return from_maximal(simplices, weight)
+    except ComplexError as err:
+        _decorate(err, line_of)
 
 
 def serialize_complex(X: WeightedComplex) -> str:

@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+import wsh.cli
+import wsh.complexes
+from wsh import ComplexError
 from wsh.cli import main
 from .conftest import glued_triangles_complex, tetra_boundary_complex
 from wsh import serialize_complex
@@ -114,3 +117,33 @@ def test_dim_beyond_complex(tetra_file, capsys):
     assert main(["--dim", "5", tetra_file]) == 0
     out = capsys.readouterr().out
     assert "H_5 = 0" in out
+
+
+def test_huge_record_exits_2_without_enumerating(tmp_path, monkeypatch, capsys):
+    def refuse(listed):
+        raise AssertionError("faces enumerated")
+
+    monkeypatch.setattr(wsh.complexes, "_heaviest_cofaces", refuse)
+    big = " ".join(f"x{i}" for i in range(64))
+    maximal = tmp_path / "maximal.cplx"
+    maximal.write_text(f"!maximal 0\na b\n{big}\n")
+    assert main([str(maximal)]) == 2
+    assert "line 3: simplex with 64 vertices" in capsys.readouterr().err
+    listed = tmp_path / "listed.cplx"
+    listed.write_text(f"{big} ; 0\n")
+    assert main(["--complete-faces", str(listed)]) == 2
+    assert "line 1: simplex with 64 vertices" in capsys.readouterr().err
+
+
+def test_fast_path_consistency_errors_exit_3(tetra_file, monkeypatch, capsys):
+    def unpaired(*args, **kwargs):
+        raise ComplexError("1 independent 2-simplices left unpaired")
+
+    monkeypatch.setattr(wsh.cli, "homology_all", unpaired)
+    monkeypatch.setattr(wsh.cli, "homology", unpaired)
+    assert main([tetra_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wsh: error: 1 independent 2-simplices left unpaired\n"
+    assert main(["--dim", "1", tetra_file]) == 3
+    assert capsys.readouterr().err == "wsh: error: H_1: 1 independent 2-simplices left unpaired\n"

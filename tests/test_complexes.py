@@ -18,7 +18,9 @@ from wsh import (
     from_maximal,
     signed_faces,
 )
+from wsh.complexes import WeightedComplex, _canonical_labels
 from .conftest import random_weighted_complex, tetra_boundary_complex
+from .reference_complexes import _closure
 
 
 def test_build_smallest_edge_complex():
@@ -86,6 +88,25 @@ def test_from_maximal_tetra_boundary():
     X = from_maximal(faces, 0)
     assert len(X) == 14
     assert X.dim == 2
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_from_maximal_matches_reference_closure(d):
+    # boundary of the d-simplex, plus a top overlapping it in half its
+    # vertices, a top nested in another, and a top repeated in another order
+    rng = random.Random(d)
+    verts = [f"v{i}" for i in range(d + 1)]
+    tops = list(itertools.combinations(verts, d))
+    tops.append(tuple(verts[: d // 2]) + ("w0", "w1"))
+    tops.append(tops[0][1:3])
+    tops.append(tuple(reversed(tops[1])))
+    tops = [tuple(rng.sample(t, len(t))) for t in tops]
+    rng.shuffle(tops)
+    closure = _closure([_canonical_labels(t) for t in tops])
+    for w in (0, 3):
+        X = from_maximal(tops, w)
+        assert X == WeightedComplex({s: w for s in closure})
+        assert len(X) == len(closure) == 2 ** (d + 1) - 2 + 2 ** (d // 2 + 2) - 2 ** (d // 2)
 
 
 def test_from_maximal_empty():
