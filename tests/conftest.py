@@ -149,6 +149,35 @@ def random_weighted_complex(rng, max_vertices=7, max_dim=3, max_weight=5, max_si
     return build_complex(weights.items())
 
 
+def torus_grid_complex(k, rng):
+    """k x k triangulated torus (k >= 3) with random monotone weights.
+
+    Each square of the grid is cut along one diagonal into two triangles.
+    Triangles draw a weight in 0..2; each edge, then each vertex, adds 0..2
+    to the heaviest of its cofaces, so faces are never lighter than them.
+    """
+
+    def vertex(i, j):
+        return f"t{i % k}_{j % k}"
+
+    weights = {}
+    for i in range(k):
+        for j in range(k):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
+            for t in ((a, b, c), (a, d, c)):
+                weights[tuple(sorted(t))] = rng.randint(0, 2)
+    for size in (2, 1):
+        floor = {}
+        for s, w in list(weights.items()):
+            if len(s) == size + 1:
+                for face in itertools.combinations(s, size):
+                    floor[face] = max(floor.get(face, 0), w)
+        for face in sorted(floor):
+            weights[face] = floor[face] + rng.randint(0, 2)
+    return build_complex(weights.items())
+
+
 @pytest.fixture
 def rationals():
     return RATIONALS

@@ -4,7 +4,7 @@ import pytest
 
 import wsh.cli
 import wsh.complexes
-from wsh import ComplexError
+from wsh import ComplexError, PrecisionExhausted
 from wsh.cli import main
 from .conftest import glued_triangles_complex, tetra_boundary_complex
 from wsh import serialize_complex
@@ -147,3 +147,25 @@ def test_fast_path_consistency_errors_exit_3(tetra_file, monkeypatch, capsys):
     assert captured.err == "wsh: error: 1 independent 2-simplices left unpaired\n"
     assert main(["--dim", "1", tetra_file]) == 3
     assert capsys.readouterr().err == "wsh: error: H_1: 1 independent 2-simplices left unpaired\n"
+
+
+def test_check_mismatch_exits_3(tetra_file, monkeypatch, capsys):
+    monkeypatch.setattr(wsh.cli, "homology_via_snf", lambda X, n, field: (n, [7]))
+    assert main(["--check", "--dim", "1", tetra_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "wsh: check mismatch at H_1: fast path 0 free [1, 1, 1] torsion, "
+        "verifier 1 free [7] torsion\n"
+    )
+
+
+def test_check_precision_failure_exits_3(tetra_file, monkeypatch, capsys):
+    def exhausted(X, n, field):
+        raise PrecisionExhausted("image does not lie in the computed kernel")
+
+    monkeypatch.setattr(wsh.cli, "homology_via_snf", exhausted)
+    assert main(["--check", tetra_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wsh: check failed at H_0: image does not lie in the computed kernel\n"

@@ -1,6 +1,10 @@
+import itertools
 import random
 
-from wsh import homology_all, homology_via_snf
+import pytest
+
+from wsh import homology_all, homology_via_snf, parse_complex_file
+from .conftest import GF2, RATIONALS, torus_grid_complex
 from .invariants import (
     boundary_squared_violations,
     cycle_basis_violations,
@@ -62,6 +66,24 @@ def test_engine_matches_oracle_on_corpus(corpus):
             if (mod.free_rank, mod.torsion) != slow:
                 mismatches.append((field.name, mod.n, X))
     assert mismatches == []
+
+
+def _simplex_boundary_maximal(d):
+    """The boundary of the d-simplex as a `!maximal 0` file: its d + 1 facets."""
+    facets = itertools.combinations([f"v{i}" for i in range(d + 1)], d)
+    return "!maximal 0\n" + "".join(" ".join(f) + "\n" for f in facets)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF2], ids=lambda f: f.name)
+def test_engine_matches_oracle_at_real_sizes(field):
+    # the tori carry torsion in H_0 and H_1; the sphere has none
+    cases = [(torus_grid_complex(k, random.Random(k)), (1, 2, 1), True) for k in (6, 8)]
+    cases.append((parse_complex_file(_simplex_boundary_maximal(5)), (1, 0, 0, 0, 1), False))
+    for X, free, torsion in cases:
+        fast = [(m.free_rank, m.torsion) for m in homology_all(X, field)]
+        assert fast == [homology_via_snf(X, n, field) for n in range(X.dim + 1)]
+        assert tuple(f for f, _t in fast) == free
+        assert bool(fast[0][1] and fast[1][1]) == torsion
 
 
 def test_free_rank_equals_betti_number(corpus):
