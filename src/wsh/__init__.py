@@ -48,7 +48,6 @@ from .homology import (
     homology,
     homology_all,
     lift_cycle,
-    simplex_pairing,
 )
 from .oracle import (
     SeriesMatrix,
@@ -104,7 +103,6 @@ __all__ = [
     "render_text_report",
     "serialize_complex",
     "signed_faces",
-    "simplex_pairing",
     "snf_valuations",
     "weighted_boundary_matrix",
 ]

@@ -84,6 +84,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"wsh: error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    if args.dim is not None and args.dim < 0:
+        print("wsh: error: --dim must be non-negative", file=sys.stderr)
+        return USAGE_ERROR
 
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -101,9 +104,6 @@ def main(argv=None) -> int:
         print(f"wsh: error: {args.file}: {e}", file=sys.stderr)
         return INPUT_ERROR
 
-    if args.dim is not None and args.dim < 0:
-        print("wsh: error: --dim must be non-negative", file=sys.stderr)
-        return USAGE_ERROR
     try:
         if args.dim is not None:
             modules = [homology(X, args.dim, field, with_generators=args.generators)]

@@ -18,7 +18,6 @@ from wsh import (
     homology_all,
     in_column_span,
     rank,
-    simplex_pairing,
     weighted_boundary_matrix,
 )
 
@@ -116,9 +115,8 @@ def cycle_basis_violations(X, field):
 
 def pairing_violations(X, field):
     bad = []
-    bases = [cycle_basis(X, n, field) for n in range(X.dim + 2)]
-    for n in range(X.dim + 1):
-        pairing = simplex_pairing(X, n, bases[n], bases[n + 1], field)
+    for mod in homology_all(X, field):
+        n, pairing = mod.n, mod.pairing
         up_rank = 0
         if n + 1 <= X.dim and X.n_simplices(n + 1):
             up_rank = rank(_classical_matrix(X, n + 1, field))
@@ -127,7 +125,7 @@ def pairing_violations(X, field):
         if any(p.m < 0 for p in pairing.pairs):
             bad.append(f"n={n}: negative pairing exponent")
         owners = [p.kappa for p in pairing.pairs] + pairing.unpaired
-        if sorted(owners) != sorted(bases[n].dependent):
+        if sorted(owners) != sorted(cycle_basis(X, n, field).dependent):
             bad.append(f"n={n}: pairs plus unpaired do not partition the owners")
         images = {p.mu for p in pairing.pairs}
         if len(images) != len(pairing.pairs):

@@ -79,12 +79,16 @@ def test_complete_faces_flag(tmp_path, capsys):
     assert main(["--complete-faces", str(p)]) == 0
 
 
-def test_usage_errors_exit_1(tetra_file, capsys):
+def test_usage_errors_exit_1(tetra_file, tmp_path, capsys):
     assert main([]) == 1
     assert main(["--field", "gf:4", tetra_file]) == 1
     assert main(["--field", "nonsense", tetra_file]) == 1
     assert main(["--field", "gf:3317044064679887385961981", tetra_file]) == 1
     assert main(["--dim", "-1", tetra_file]) == 1
+    # a negative dimension is a usage error before the file is opened
+    capsys.readouterr()
+    assert main(["--dim", "-1", str(tmp_path / "missing.cplx")]) == 1
+    assert capsys.readouterr().err == "wsh: error: --dim must be non-negative\n"
     assert main(["--no-such-flag", tetra_file]) == 1
 
 

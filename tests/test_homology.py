@@ -17,7 +17,6 @@ from wsh import (
     homology,
     homology_all,
     lift_cycle,
-    simplex_pairing,
 )
 from .conftest import RATIONALS as Q
 from .conftest import GF2
@@ -97,9 +96,7 @@ def test_lift_cycle_errors(hollow_triangle):
 
 
 def test_pairing_filled_triangle(filled_triangle):
-    b1 = cycle_basis(filled_triangle, 1, Q)
-    b2 = cycle_basis(filled_triangle, 2, Q)
-    pairing = simplex_pairing(filled_triangle, 1, b1, b2, Q)
+    pairing = homology(filled_triangle, 1, Q).pairing
     assert [(p.kappa, p.mu, p.m) for p in pairing.pairs] == [
         (("b", "c"), ("a", "b", "c"), 1)
     ]
@@ -107,9 +104,7 @@ def test_pairing_filled_triangle(filled_triangle):
 
 
 def test_pairing_no_cofaces(hollow_triangle):
-    b1 = cycle_basis(hollow_triangle, 1, Q)
-    b2 = cycle_basis(hollow_triangle, 2, Q)
-    pairing = simplex_pairing(hollow_triangle, 1, b1, b2, Q)
+    pairing = homology(hollow_triangle, 1, Q).pairing
     assert pairing.pairs == []
     assert pairing.unpaired == [("b", "c")]
 
@@ -117,9 +112,7 @@ def test_pairing_no_cofaces(hollow_triangle):
 def test_pairing_tetra_vertices(tetra_boundary):
     # images are taken in decreasing weight order, so the heavy AB edge is
     # considered first and captures A with exponent 5 - 4 = 1
-    b0 = cycle_basis(tetra_boundary, 0, Q)
-    b1 = cycle_basis(tetra_boundary, 1, Q)
-    pairing = simplex_pairing(tetra_boundary, 0, b0, b1, Q)
+    pairing = homology_all(tetra_boundary, Q)[0].pairing
     assert [(p.kappa, p.mu, p.m) for p in pairing.pairs] == [
         (("A",), ("A", "B"), 1),
         (("B",), ("A", "C"), 3),
