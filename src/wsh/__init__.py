@@ -31,7 +31,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroChain,
 )
-from .fields import FieldSpec, Matrix, rank
+from .fields import FieldSpec
 from .fileio import (
     parse_complex_file,
     render_json_report,
@@ -72,7 +72,6 @@ __all__ = [
     "FieldSpec",
     "HomologyModule",
     "InvalidSimplex",
-    "Matrix",
     "MismatchedDimensions",
     "MissingFace",
     "MonotonicityViolation",
@@ -98,7 +97,6 @@ __all__ = [
     "in_column_span",
     "lift_cycle",
     "parse_complex_file",
-    "rank",
     "render_json_report",
     "render_text_report",
     "serialize_complex",

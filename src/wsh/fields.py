@@ -1,25 +1,19 @@
-"""Exact linear algebra over the rationals and over prime fields.
+"""Exact scalar arithmetic over the rationals and over prime fields.
 
-Scalars are plain Python values: Fraction for the rationals, ints in
-range(p) for GF(p). A FieldSpec bundles the arithmetic so everything
-downstream stays field generic. The fast path in wsh.homology works on
-sparse vectors of these scalars; the dense Matrix with rank and
-row_reduce here is kept as a plain reference that shares no code with
-it, for independent checks of its results.
+Scalars are plain Python values. A rational is an int while it is
+integral and a Fraction only when it is not, so eliminations on the +-1
+boundary entries build no Fraction until a pivot other than +-1 divides
+inexactly; GF(p) scalars are ints in range(p). A FieldSpec bundles the
+arithmetic so everything downstream stays field generic. The fast path
+in wsh.homology works on sparse vectors of these scalars. The dense
+reference algebra that checks it independently lives with the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MismatchedDimensions
-
-__all__ = [
-    "FieldSpec",
-    "Matrix",
-    "rank",
-    "row_reduce",
-]
+__all__ = ["FieldSpec"]
 
 
 # The first 13 primes are a deterministic Miller-Rabin witness set for every
@@ -51,6 +45,11 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def _rational(x):
+    """A rational result as an int when it is integral, else as a Fraction."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 class FieldSpec:
@@ -88,31 +87,33 @@ class FieldSpec:
         return "rational" if self.p is None else f"gf:{self.p}"
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def from_int(self, k: int):
-        return Fraction(k) if self.p is None else k % self.p
+        return k if self.p is None else k % self.p
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        return _rational(a + b) if self.p is None else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
+        return _rational(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        return _rational(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
+        return _rational(-a) if self.p is None else (-a) % self.p
 
     def div(self, a, b):
         if self.is_zero(b):
             raise ZeroDivisionError("division by zero field element")
         if self.p is None:
-            return a / b
+            if type(a) is int and type(b) is int:
+                return a // b if a % b == 0 else Fraction(a, b)
+            return _rational(a / b)
         return (a * pow(b, -1, self.p)) % self.p
 
     def inv(self, a):
@@ -122,7 +123,7 @@ class FieldSpec:
         return a == 0
 
     def is_pm_one(self, a) -> bool:
-        # unit preference helper for pivot choice
+        # unit preference for pivot choice in dense reference eliminations
         return a == self.one() or a == self.from_int(-1)
 
     def to_str(self, a) -> str:
@@ -136,92 +137,3 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec({self.name})"
-
-
-class Matrix:
-    """Dense matrix with entries in one FieldSpec."""
-
-    __slots__ = ("field", "rows", "nrows", "ncols")
-
-    def __init__(self, field: FieldSpec, rows, ncols=None):
-        self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            for r in self.rows:
-                if len(r) != self.ncols:
-                    raise MismatchedDimensions("ragged rows")
-        else:
-            self.ncols = 0 if ncols is None else ncols
-
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
-
-    def column(self, j):
-        return [r[j] for r in self.rows]
-
-    def transpose(self):
-        t = Matrix.zeros(self.field, self.ncols, self.nrows)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                t.rows[j][i] = self.rows[i][j]
-        return t
-
-    def mat_vec(self, v):
-        if len(v) != self.ncols:
-            raise MismatchedDimensions("vector length does not match column count")
-        F = self.field
-        out = []
-        for row in self.rows:
-            acc = F.zero()
-            for a, b in zip(row, v):
-                acc = F.add(acc, F.mul(a, b))
-            out.append(acc)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"
-
-
-def row_reduce(matrix: Matrix):
-    """Reduced row echelon form: returns (reduced, pivots), pivots as (row, col) pairs."""
-    F = matrix.field
-    a = [list(r) for r in matrix.rows]
-    nrows, ncols = matrix.nrows, matrix.ncols
-    pivots = []
-    pr = 0
-    for col in range(ncols):
-        if pr >= nrows:
-            break
-        # first nonzero in column order, preferring +-1 to limit growth
-        candidates = [i for i in range(pr, nrows) if not F.is_zero(a[i][col])]
-        if not candidates:
-            continue
-        piv = next((i for i in candidates if F.is_pm_one(a[i][col])), candidates[0])
-        a[piv], a[pr] = a[pr], a[piv]
-        if a[pr][col] != F.one():
-            c = F.inv(a[pr][col])
-            a[pr] = [F.mul(c, v) for v in a[pr]]
-        for i in range(nrows):
-            if i != pr and not F.is_zero(a[i][col]):
-                c = F.neg(a[i][col])
-                a[i] = [F.add(v, F.mul(c, w)) for v, w in zip(a[i], a[pr])]
-        pivots.append((pr, col))
-        pr += 1
-    return Matrix(F, a, ncols=ncols), pivots
-
-
-def rank(matrix: Matrix) -> int:
-    return len(row_reduce(matrix)[1])

@@ -7,7 +7,6 @@ invariant holds, so callers can aggregate or assert as they see fit.
 import random
 
 from wsh import (
-    Matrix,
     SeriesMatrix,
     TruncatedSeries,
     boundary_exponent_matrix,
@@ -17,9 +16,10 @@ from wsh import (
     cycle_basis,
     homology_all,
     in_column_span,
-    rank,
     weighted_boundary_matrix,
 )
+
+from .dense import Matrix, rank
 
 
 def series_identity(field, precision, n):

@@ -9,7 +9,6 @@ from wsh import (
     EmptyInput,
     FieldSpec,
     InvalidSimplex,
-    Matrix,
     MissingFace,
     MonotonicityViolation,
     boundary_exponent_matrix,
@@ -20,6 +19,7 @@ from wsh import (
 )
 from wsh.complexes import WeightedComplex, _canonical_labels
 from .conftest import random_weighted_complex, tetra_boundary_complex
+from .dense import Matrix
 from .reference_complexes import _closure
 
 

@@ -3,9 +3,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from wsh import FieldSpec, Matrix, rank
-from wsh.fields import MAX_FIELD_ORDER, _is_prime, row_reduce
+from wsh import FieldSpec
+from wsh.fields import MAX_FIELD_ORDER, _is_prime
+
+from .dense import Matrix, rank, row_reduce
 
 
 def test_field_names_round_trip():
@@ -28,6 +32,46 @@ def test_rational_arithmetic_is_exact():
     third = F.div(a, F.from_int(3))
     assert F.mul(third, F.from_int(3)) == F.one()
     assert third == Fraction(1, 3)
+
+
+# ints, integral and proper Fractions, with numerators well past 64 bits
+_ints = st.integers(min_value=-(2**100), max_value=2**100)
+_rationals = st.one_of(
+    _ints,
+    _ints.map(Fraction),
+    st.fractions(max_denominator=10**6),
+    st.builds(Fraction, _ints, st.integers(min_value=1, max_value=2**70)),
+)
+
+
+def _assert_exact(result, expected):
+    assert result == expected
+    assert type(result) is (int if expected.denominator == 1 else Fraction)
+
+
+@given(_rationals, _rationals)
+def test_rational_kernel_matches_fraction_arithmetic(a, b):
+    F = FieldSpec.rationals()
+    fa, fb = Fraction(a), Fraction(b)
+    _assert_exact(F.add(a, b), fa + fb)
+    _assert_exact(F.sub(a, b), fa - fb)
+    _assert_exact(F.mul(a, b), fa * fb)
+    _assert_exact(F.neg(a), -fa)
+    if fb == 0:
+        with pytest.raises(ZeroDivisionError):
+            F.div(a, b)
+        with pytest.raises(ZeroDivisionError):
+            F.inv(b)
+    else:
+        _assert_exact(F.div(a, b), fa / fb)
+        _assert_exact(F.inv(b), 1 / fb)
+
+
+def test_rational_constants_are_ints():
+    F = FieldSpec.rationals()
+    assert [type(x) for x in (F.zero(), F.one(), F.from_int(-7))] == [int] * 3
+    with pytest.raises(ZeroDivisionError):
+        F.div(F.one(), F.zero())
 
 
 def test_gf5_arithmetic():
