@@ -14,7 +14,7 @@ a record may have at most complexes.MAX_CLOSURE_VERTICES vertices.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from .complexes import WeightedComplex, build_complex, complete_faces, from_maximal
 from .errors import (
@@ -171,31 +171,90 @@ def render_text_report(modules, field, with_generators: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+# "\n" and the indentation json.dumps(indent=2) gives each nesting level of
+# the JSON report, which nests nine levels deep (poly pair entries)
+_NL = tuple("\n" + "  " * level for level in range(10))
+_str = encode_basestring_ascii  # the stdlib's C escaper, ensure_ascii rules
+_int = int.__repr__  # what json.dumps writes for an int
+
+# fixed pieces around the encoded values of a pair and of a generator term;
+# simplices are never empty, so their label lists always open a line
+_PAIR_KAPPA = f',{_NL[4]}{{{_NL[5]}"kappa": [{_NL[6]}'
+_PAIR_MU = f'{_NL[5]}],{_NL[5]}"mu": [{_NL[6]}'
+_PAIR_M = f'{_NL[5]}],{_NL[5]}"m": '
+_TERM_SIMPLEX = f',{_NL[6]}{{{_NL[7]}"simplex": [{_NL[8]}'
+_TERM_POLY = f'{_NL[7]}],{_NL[7]}"poly": '
+_SEP6 = "," + _NL[6]
+_SEP8 = "," + _NL[8]
+
+
+def _json_list(items, level):
+    """Encoded items as the list json.dumps(indent=2) writes at this level."""
+    if not items:
+        return "[]"
+    inner = _NL[level + 1]
+    return f"[{inner}{(',' + inner).join(items)}{_NL[level]}]"
+
+
+def _close_list(out, start, level):
+    """Bracket the list whose items were appended to out from index start on.
+
+    Every item is appended with a leading ","; the first one's becomes "[".
+    """
+    if len(out) == start:
+        out.append("[]")
+    else:
+        out[start] = "[" + out[start][1:]
+        out.append(_NL[level] + "]")
+
+
 def render_json_report(modules, field, with_generators: bool = False) -> str:
-    """Machine-readable summary with a stable key layout."""
-    dims = []
+    """Machine-readable summary with a stable key layout.
+
+    The text is exactly json.dumps(report, indent=2) + "\n" of the object
+    {"field": ..., "dimensions": [{"n", "free_rank", "torsion", "pairs"
+    [, "generators"]}, ...]}, but it is written here piece by piece:
+    CPython runs its C encoder only when indent is None, and the pure-Python
+    one it falls back to took longer than the homology itself on large
+    reports with generators. Strings still go through the stdlib's C
+    escaper and ints through int.__repr__, so every value is spelled as
+    json.dumps spells it.
+    """
+    to_str = field.to_str
+    out = [f'{{{_NL[1]}"field": {_str(field.name)},{_NL[1]}"dimensions": ']
+    append = out.append
+    dims = len(out)
     for mod in modules:
-        entry = {
-            "n": mod.n,
-            "free_rank": mod.free_rank,
-            "torsion": list(mod.torsion),
-            "pairs": [
-                {"kappa": list(p.kappa), "mu": list(p.mu), "m": p.m}
-                for p in mod.pairing.pairs
-            ],
-        }
+        append(
+            f',{_NL[2]}{{{_NL[3]}"n": {_int(mod.n)},{_NL[3]}"free_rank": {_int(mod.free_rank)},'
+            f'{_NL[3]}"torsion": {_json_list(list(map(_int, mod.torsion)), 3)},{_NL[3]}"pairs": '
+        )
+        pairs = len(out)
+        for p in mod.pairing.pairs:
+            append(
+                f"{_PAIR_KAPPA}{_SEP6.join(map(_str, p.kappa))}{_PAIR_MU}"
+                f"{_SEP6.join(map(_str, p.mu))}{_PAIR_M}{_int(p.m)}{_NL[4]}}}"
+            )
+        _close_list(out, pairs, 3)
         if with_generators and mod.generators is not None:
-            entry["generators"] = [
-                {
-                    "terms": [
-                        {
-                            "simplex": list(s),
-                            "poly": [[e, field.to_str(c)] for e, c in chain.terms[s]],
-                        }
-                        for s in sorted(chain.terms)
+            append(f',{_NL[3]}"generators": ')
+            gens = len(out)
+            for chain in mod.generators:
+                append(f',{_NL[4]}{{{_NL[5]}"terms": ')
+                terms = len(out)
+                for s in sorted(chain.terms):
+                    poly = [
+                        f"[{_NL[9]}{_int(e)},{_NL[9]}{_str(to_str(c))}{_NL[8]}]"
+                        for e, c in chain.terms[s]
                     ]
-                }
-                for chain in mod.generators
-            ]
-        dims.append(entry)
-    return json.dumps({"field": field.name, "dimensions": dims}, indent=2) + "\n"
+                    append(
+                        f"{_TERM_SIMPLEX}{_SEP8.join(map(_str, s))}{_TERM_POLY}"
+                        f"{_json_list(poly, 7)}{_NL[6]}}}"
+                    )
+                _close_list(out, terms, 5)
+                append(_NL[4] + "}")
+            _close_list(out, gens, 3)
+        append(_NL[2] + "}")
+    _close_list(out, dims, 1)
+    append("\n}\n")
+    return "".join(out)

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +176,19 @@ def test_check_precision_failure_exits_3(tetra_file, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "wsh: check failed at H_0: image does not lie in the computed kernel\n"
+
+
+def test_readme_examples_are_verbatim_output(tmp_path, monkeypatch, capsys):
+    # every "$ wsh ... glued.cplx" block in the README, run on the README's
+    # own glued.cplx, prints exactly the lines the block shows
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    (glued,) = [b for b in blocks if b.startswith("# filled triangle abc glued")]
+    examples = [b for b in blocks if re.match(r"\$ wsh .*glued\.cplx\n", b)]
+    assert len(examples) == 3
+    (tmp_path / "glued.cplx").write_text(glued)
+    monkeypatch.chdir(tmp_path)
+    for block in examples:
+        command, expected = block.split("\n", 1)
+        assert main(shlex.split(command)[2:]) == 0, command
+        assert capsys.readouterr().out == expected, command

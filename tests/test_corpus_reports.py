@@ -6,8 +6,10 @@ with generators. The digests were recorded once from an earlier engine
 and are never rewritten; any change to free ranks, torsion, pairs,
 generator chains or their formatting shows up as a mismatch here.
 TORUS_30_DIGESTS pin the same payload on a 5,400-simplex torus, well past
-the corpus sizes, recorded from the engine that still kept every rational
-as a Fraction.
+the corpus sizes. The rational and gf:2 digests were recorded from the
+engine that still kept every rational as a Fraction, the gf:32003 one,
+whose coefficients run to five digits, from the renderer that still built
+a dict tree for json.dumps.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ DIGESTS = Path(__file__).parent / "data" / "corpus_report_digests.json"
 TORUS_30_DIGESTS = {
     "rational": "d86e12d8daa37a407316278de1347b44642f16d43a3d38a5045b46de0bfb6bad",
     "gf:2": "800b0bd2357754e8c1fdb5a77086649743e8fe85dd4f72cfb7821ea79207b761",
+    "gf:32003": "920c266f4dde07e26bfab524f8db3e38d54c944b0279e936fb6f4fb8d83da260",
 }
 
 

@@ -1,13 +1,18 @@
 import json
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wsh import (
     EmptyInput,
+    FieldSpec,
     MonotonicityViolation,
     ParseError,
     build_complex,
     from_maximal,
+    homology,
     homology_all,
     parse_complex_file,
     render_json_report,
@@ -15,7 +20,8 @@ from wsh import (
     serialize_complex,
 )
 from .conftest import RATIONALS as Q
-from .conftest import glued_triangles_complex, tetra_boundary_complex
+from .conftest import glued_triangles_complex, random_weighted_complex, tetra_boundary_complex
+from .reference_report import render_json_report_reference
 
 
 def test_parse_basic_records():
@@ -174,3 +180,41 @@ def test_json_and_text_agree_on_modules():
         ]
         line = f"H_{entry['n']} = " + (" (+) ".join(rendered) if rendered else "0")
         assert line in text
+
+
+# label characters json.dumps escapes or passes through: quote, backslash,
+# slash, Latin-1, BMP, an astral character (a surrogate pair once escaped),
+# DEL and a control character
+_LABEL_CHARS = '"\\/\u00e9\u2603\U0001d53d\x7f\x01ab'
+_EVERY_CHAR = ['"', "\\", "/", "\u00e9", "\u2603\U0001d53d", "\x7f", "\x01"]
+_REPORT_FIELDS = [FieldSpec.from_name(f) for f in ("rational", "gf:2", "gf:3", "gf:32003")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    labels=st.lists(
+        st.text(alphabet=_LABEL_CHARS, min_size=1, max_size=3), min_size=7, max_size=7, unique=True
+    ),
+    field=st.sampled_from(_REPORT_FIELDS),
+    with_generators=st.booleans(),
+    n=st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+)
+# seed 0 uses all seven labels and has torsion in three dimensions; n=5
+# lies above its dimension 3
+@example(seed=0, labels=_EVERY_CHAR, field=_REPORT_FIELDS[3], with_generators=True, n=None)
+@example(seed=0, labels=_EVERY_CHAR, field=_REPORT_FIELDS[0], with_generators=True, n=5)
+def test_json_report_matches_json_dumps_byte_for_byte(seed, labels, field, with_generators, n):
+    base = random_weighted_complex(random.Random(seed))
+    X = build_complex(
+        (tuple(labels[int(v[1:])] for v in s), base.weight(s)) for s in base.simplices()
+    )
+    if n is None:
+        modules = homology_all(X, field, with_generators=with_generators)
+    else:  # n may lie above X.dim, where every list of the module is empty
+        modules = [homology(X, n, field, with_generators=with_generators)]
+    # the opposite flag too: chains present but not asked for, or asked for but absent
+    for flag in (with_generators, not with_generators):
+        assert render_json_report(modules, field, flag) == render_json_report_reference(
+            modules, field, flag
+        )
