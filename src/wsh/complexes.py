@@ -68,7 +68,7 @@ def _check_weight(labels, w):
 class WeightedComplex:
     """Immutable weighted complex. Construct via build_complex and friends."""
 
-    __slots__ = ("labels", "_weights", "_per_dim", "_index", "dim")
+    __slots__ = ("labels", "_weights", "_per_dim", "dim")
 
     def __init__(self, weight_by_labels):
         # weight_by_labels: {sorted label tuple: weight}, assumed validated
@@ -79,7 +79,6 @@ class WeightedComplex:
         for s in self._weights:
             per_dim[len(s) - 1].append(s)
         self._per_dim = tuple(tuple(sorted(d)) for d in per_dim)
-        self._index = tuple({s: i for i, s in enumerate(d)} for d in self._per_dim)
 
     def __contains__(self, simplex):
         s = tuple(simplex)
@@ -119,17 +118,9 @@ class WeightedComplex:
             return ()
         return self._per_dim[n]
 
-    def index_of(self, simplex) -> int:
-        s = tuple(simplex)
-        return self._index[len(s) - 1][s]
-
     def simplices(self):
         for d in self._per_dim:
             yield from d
-
-    def canonical(self, vertices):
-        """Sorted label tuple for arbitrary vertex input."""
-        return _canonical_labels(vertices)
 
 
 def build_complex(pairs) -> WeightedComplex:

@@ -29,8 +29,8 @@ is exact: each owner lies in its own cycle alone, so an n-cycle is fixed
 by its owner coordinates, and the coordinate of a boundary on a cycle is
 the signed incidence number of its owner. An independent (n+1)-simplex
 mu whose column pivots on owner kappa is paired with it, and the weight
-drop kappa -> mu is the bar length. Its column at pivot time, before it
-is scaled, expresses the boundary of a chain ending in mu over the
+drop kappa -> mu is the bar length. Its column at pivot time, kept
+unscaled, expresses the boundary of a chain ending in mu over the
 cycles, and drives the torsion generator of the pair.
 
 These are the pairs and columns of the row elimination that scans the
@@ -158,8 +158,9 @@ def _reduce(X, n, rows, field, with_cycles):
     rows; each pivots on its smallest position in rows. Returns the split
     of the n-simplices as a CycleBasis, with cycles only when with_cycles
     is set (no chains are carried otherwise), and a dict mapping each
-    pivot position to the independent simplex that took it and its column
-    at that moment, before scaling, as {position: scalar}.
+    pivot position to (independent simplex that took it, its column and
+    chain at that moment, inverse of the pivot entry), the column as
+    {position: scalar}.
     """
     if not X.n_simplices(n):
         return CycleBasis(n, [], [], {}), {}
@@ -168,9 +169,8 @@ def _reduce(X, n, rows, field, with_cycles):
     position = {s: k for k, s in enumerate(rows)}
     row_pos = [position.get(s) for s in bm.row_simplices]
     columns = dict(zip(bm.col_simplices, bm.columns))
-    # pivot -> (reduced column scaled to a unit pivot, chain it bounds);
     # chains are keyed by position in the processing order
-    reduced, taken = {}, {}
+    reduced = {}
     dependent, independent, cycles = [], [], {}
     for i, s in enumerate(order):
         column = {}
@@ -182,24 +182,19 @@ def _reduce(X, n, rows, field, with_cycles):
             pivot = min(column)
             if pivot not in reduced:
                 break
-            f = field.neg(column[pivot])
-            pivot_column, pivot_chain = reduced[pivot]
+            _s, pivot_column, pivot_chain, inv = reduced[pivot]
+            f = field.neg(field.mul(column[pivot], inv))
             _add_multiple(column, f, pivot_column, field)
             _add_multiple(chain, f, pivot_chain, field)
         if column:
-            taken[pivot] = (s, column)
-            inv = field.inv(column[pivot])
-            reduced[pivot] = (
-                {r: field.mul(inv, c) for r, c in column.items()},
-                {k: field.mul(inv, c) for k, c in chain.items()},
-            )
+            reduced[pivot] = (s, column, chain, field.inv(column[pivot]))
             independent.append(s)
         else:
             dependent.append(s)
             if with_cycles:
                 del chain[i]
                 cycles[s] = {s: field.one(), **{order[k]: chain[k] for k in sorted(chain)}}
-    return CycleBasis(n, dependent, independent, cycles), taken
+    return CycleBasis(n, dependent, independent, cycles), reduced
 
 
 def cycle_basis(X: WeightedComplex, n: int, field: FieldSpec) -> CycleBasis:
@@ -253,7 +248,7 @@ def simplex_pairing(
         if k not in taken:
             unpaired.append(kappa)
             continue
-        mu, column = taken[k]
+        mu, column, _chain, _inv = taken[k]
         m = X.weight(kappa) - X.weight(mu)
         if m < 0:
             raise ComplexError(

@@ -23,34 +23,40 @@ from .dense import Matrix, rank
 
 
 def series_identity(field, precision, n):
-    m = SeriesMatrix.zeros(field, precision, n, n)
     one = TruncatedSeries.monomial(field, precision, 0)
-    for i in range(n):
-        m.rows[i][i] = one
-    return m
+    return SeriesMatrix(field, precision, [{i: one} for i in range(n)], n)
 
 
 def series_mat_vec(matrix, vec):
     """matrix * vec over the truncated series ring, vec a list of series."""
+    if len(vec) != matrix.ncols:
+        raise ValueError("vector length does not match column count")
     out = []
     for row in matrix.rows:
         acc = TruncatedSeries.zero(matrix.field, matrix.precision)
-        for a, b in zip(row, vec, strict=True):
-            if not a.is_zero() and not b.is_zero():
-                acc = acc + a * b
+        for j, a in row.items():
+            if not vec[j].is_zero():
+                acc = acc + a * vec[j]
         out.append(acc)
     return out
 
 
 def series_mat_mul(left, right):
     """left * right over the truncated series ring."""
-    columns = [series_mat_vec(left, [row[j] for row in right.rows]) for j in range(right.ncols)]
-    rows = [[col[i] for col in columns] for i in range(left.nrows)]
-    return SeriesMatrix(left.field, left.precision, rows, ncols=right.ncols)
+    if left.ncols != right.nrows:
+        raise ValueError("inner dimensions do not match")
+    rows = []
+    for row in left.rows:
+        out = {}
+        for j, a in row.items():
+            for k, b in right.rows[j].items():
+                out[k] = out[k] + a * b if k in out else a * b
+        rows.append(out)
+    return SeriesMatrix(left.field, left.precision, rows, right.ncols)
 
 
 def series_matrix_is_zero(matrix):
-    return all(x.is_zero() for row in matrix.rows for x in row)
+    return all(x.is_zero() for row in matrix.rows for x in row.values())
 
 
 def _classical_matrix(X, n, field):

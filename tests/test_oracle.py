@@ -3,6 +3,7 @@ import random
 import pytest
 
 from wsh import (
+    MismatchedDimensions,
     PrecisionExhausted,
     SeriesMatrix,
     TruncatedSeries,
@@ -21,6 +22,7 @@ from .conftest import (
     GF2,
     random_weighted_complex,
     tetra_boundary_complex,
+    torus_grid_complex,
 )
 from .invariants import series_identity, series_mat_mul, series_matrix_is_zero
 
@@ -36,10 +38,10 @@ def zero(field=Q, prec=N):
 
 
 def test_series_construction_and_valuation():
-    s = TruncatedSeries.from_coefficients(Q, [Q.zero(), Q.one(), Q.from_int(2)])
+    s = TruncatedSeries(Q, 3, {0: Q.zero(), 1: Q.one(), 2: Q.from_int(2)})
     assert s.precision == 3
     assert s.valuation() == 1
-    assert s.coefficient_list() == [Q.zero(), Q.one(), Q.from_int(2)]
+    assert s.coeffs == {1: Q.one(), 2: Q.from_int(2)}
     assert zero().valuation() is None
     assert zero().is_zero()
 
@@ -100,7 +102,17 @@ def test_choose_precision_examples():
 
 
 def _matrix(rows, prec=N, field=Q):
-    return SeriesMatrix(field, prec, rows, ncols=len(rows[0]) if rows else 0)
+    """A SeriesMatrix from dense rows of series."""
+    return SeriesMatrix(field, prec, [dict(enumerate(r)) for r in rows], len(rows[0]) if rows else 0)
+
+
+def test_series_matrix_drops_zeros_and_checks_columns():
+    m = SeriesMatrix(Q, N, [{0: zero(), 2: mono(1)}, {1: mono(0) + mono(0, -1)}], 3)
+    assert m.rows == [{2: mono(1)}, {}]
+    assert (m.nrows, m.ncols) == (2, 3)
+    for bad in (3, -1):
+        with pytest.raises(MismatchedDimensions):
+            SeriesMatrix(Q, N, [{bad: mono(0)}], 3)
 
 
 def test_snf_diagonal():
@@ -128,6 +140,8 @@ def test_snf_needs_column_ops():
     # remaining entry pi^2 + pi^4 has valuation 2
     m = _matrix([[mono(1), mono(0)], [mono(2), mono(3)]])
     assert snf_valuations(m) == [0, 2]
+    # the elimination runs on a copy of the rows
+    assert m.rows == [{0: mono(1), 1: mono(0)}, {0: mono(2), 1: mono(3)}]
 
 
 def test_snf_invariant_under_unimodular_factors():
@@ -149,7 +163,7 @@ def test_snf_invariant_under_unimodular_factors():
             ]
             for _ in range(nr)
         ]
-        m = SeriesMatrix(Q, prec, rows, ncols=nc)
+        m = SeriesMatrix(Q, prec, [dict(enumerate(r)) for r in rows], nc)
 
         def unimodular(k):
             # product of unit-triangular factors, determinant exactly 1
@@ -162,6 +176,8 @@ def test_snf_invariant_under_unimodular_factors():
                     entry = TruncatedSeries(
                         Q, prec, {rng.randint(0, 3): Q.from_int(rng.randint(-2, 2))}
                     )
+                    if entry.is_zero():
+                        continue
                     if i > j:
                         low.rows[i][j] = entry
                     else:
@@ -181,6 +197,19 @@ def test_weighted_boundary_matrix_entries(filled_triangle):
     col = [row[0] for row in A.rows]
     vals = [s.valuation() for s in col]
     assert vals == [1, 1, 1]
+
+
+def test_weighted_boundary_matrix_stores_only_nonzeros():
+    # the torus k=30 has 2,700 edges and 1,800 triangles: a dense grid
+    # would hold 4,860,000 entries for the 5,400 nonzero ones
+    A = weighted_boundary_matrix(torus_grid_complex(30, random.Random(30)), 2, GF2)
+    assert (A.nrows, A.ncols) == (2700, 1800)
+    assert sum(len(row) for row in A.rows) == 5400
+    per_column = [0] * A.ncols
+    for row in A.rows:
+        for j in row:
+            per_column[j] += 1
+    assert per_column == [3] * 1800
 
 
 def test_weighted_boundary_matrix_rejects_tiny_precision(filled_triangle):
@@ -211,6 +240,9 @@ def test_in_column_span_weighted_image(filled_triangle):
 
 
 def test_in_column_span_identity_like():
+    cols = _matrix([[mono(1), mono(0)], [mono(2), mono(3)]])
+    assert in_column_span(cols, [mono(0), mono(5)])
+    assert cols.rows == [{0: mono(1), 1: mono(0)}, {0: mono(2), 1: mono(3)}]
     cols = _matrix([[mono(0), zero()], [zero(), mono(2)]])
     assert in_column_span(cols, [mono(3), mono(2)])
     assert not in_column_span(cols, [mono(3), mono(1)])

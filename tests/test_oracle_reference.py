@@ -63,7 +63,7 @@ def _reference_elimination(X, n, field):
 def _sparse_elimination(X, n, field):
     A = new.weighted_boundary_matrix(X, n, field)
     one = new.TruncatedSeries.monomial(field, A.precision, 0)
-    a, V = new._sparse_rows(A.rows), [{j: one} for j in range(A.ncols)]
+    a, V = A.rows, [{j: one} for j in range(A.ncols)]
     vals = new._eliminate(a, A.nrows, A.ncols, V=V)
     dense_V = [[V[j][i].coeffs if i in V[j] else {} for j in range(A.ncols)] for i in range(A.ncols)]
     return vals, [a[k][k].coeffs for k in range(len(vals))], dense_V
