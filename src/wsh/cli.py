@@ -72,10 +72,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built by the first main() call and reused: parsing leaves a parser unchanged
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as e:
         return e.code
 

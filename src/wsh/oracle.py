@@ -12,6 +12,20 @@ so memory grows with the nonzero entries rather than with rows x columns,
 and the work skipped is exactly the adding and multiplying of exact zeros;
 every pivot and every answer is the one the dense elimination gives.
 
+Single-term invariant. Every matrix the oracle eliminates carries weights
+a_i on its rows and b_j on its columns, and entry (i, j) is zero or one
+term c*pi^(a_i - b_j): for the boundary map these are the weights of the
+faces and of the simplices. A least-valuation pivot in row r makes the
+multiplier of row i one term c'*pi^(a_i - a_r), and a_i - a_r + a_r - b_k
+= a_i - b_k, so a row operation keeps the shape; so does a column
+operation, the column transform (entries c*pi^(b_i - b_j)) and, through
+it, the kernel basis, [K | C] and W. So in practice every series here has
+one coefficient, and the ring operations and _add_multiple take a short
+path on one-term operands: a product is one term, an exact quotient by
+c*pi^v is a shift by v and a scale by 1/c. The kernels stay general, and
+series with several terms, such as hand-built matrices and span targets,
+take the convolution and long division; both give the same field values.
+
 Precision discipline. Truncation at pi^N is a ring quotient, so addition,
 subtraction and multiplication are exact in the quotient ring. Exact
 division by a pivot of valuation v determines the quotient only below
@@ -83,9 +97,7 @@ class TruncatedSeries:
         if field.is_zero(c):
             return cls(field, precision)
         if exponent >= precision:
-            raise PrecisionExhausted(
-                f"exponent {exponent} needs precision > {exponent}, have {precision}"
-            )
+            raise _unrepresentable(exponent, precision)
         return cls(field, precision, {exponent: c})
 
     def is_zero(self):
@@ -116,10 +128,6 @@ class TruncatedSeries:
                 out[e] = v
         return _series(F, self.precision, out)
 
-    def __neg__(self):
-        F = self.field
-        return _series(F, self.precision, {e: F.neg(c) for e, c in self.coeffs.items()})
-
     def __sub__(self, other):
         self._check(other)
         F = self.field
@@ -139,9 +147,16 @@ class TruncatedSeries:
         self._check(other)
         F = self.field
         N = self.precision
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1 and len(b) == 1:
+            # c1*pi^e1 * c2*pi^e2 is one term, or nothing at or beyond N
+            [(e1, c1)] = a.items()
+            [(e2, c2)] = b.items()
+            e = e1 + e2
+            return _series(F, N, {e: F.mul(c1, c2)} if e < N else {})
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 if e >= N:
                     continue
@@ -173,6 +188,13 @@ class TruncatedSeries:
         vo = other.valuation()
         if self.valuation() < vo:
             raise ValueError("dividend valuation below divisor valuation")
+        if len(other.coeffs) == 1:
+            # by c*pi^vo the quotient is a shift by vo and a scale by 1/c,
+            # known to full precision
+            inv0 = F.inv(other.coeffs[vo])
+            return _series(
+                F, self.precision, {e - vo: F.mul(c, inv0) for e, c in self.coeffs.items()}
+            )
         limit = self.precision - vo
         num = {e - vo: c for e, c in self.coeffs.items()}
         den = {e - vo: c for e, c in other.coeffs.items()}
@@ -205,8 +227,7 @@ class TruncatedSeries:
         """Inverse of a unit (valuation zero), to full precision."""
         if self.valuation() != 0:
             raise ValueError("only valuation-zero series are invertible")
-        F = self.field
-        one = TruncatedSeries.monomial(F, self.precision, 0)
+        one = _series(self.field, self.precision, {0: self.field.one()})
         return one.divide_exact(self)
 
     def __eq__(self, other):
@@ -234,6 +255,10 @@ def _series(field, precision, coeffs):
     s.precision = precision
     s.coeffs = coeffs
     return s
+
+
+def _unrepresentable(exponent, precision):
+    return PrecisionExhausted(f"exponent {exponent} needs precision > {exponent}, have {precision}")
 
 
 class SeriesMatrix:
@@ -276,7 +301,10 @@ def weighted_boundary_matrix(X, n, field, precision=None) -> SeriesMatrix:
     rows = [{} for _ in bm.row_simplices]
     for j, col in enumerate(bm.columns):
         for row, sign, exp in col:
-            rows[row][j] = TruncatedSeries.monomial(field, N, exp, field.from_int(sign))
+            # sign is +-1, a nonzero scalar in every field
+            if exp >= N:
+                raise _unrepresentable(exp, N)
+            rows[row][j] = _series(field, N, {exp: field.from_int(sign)})
     return SeriesMatrix(field, N, rows, len(bm.col_simplices))
 
 
@@ -299,13 +327,38 @@ def chain_to_series(chain, X, field, precision):
 
 
 def _add_multiple(vec, f, src):
-    """vec -= f * src, in place on sparse vectors."""
-    g = -f
+    """vec -= f * src, in place on sparse vectors.
+
+    Each product term is added straight into a copy of vec[k]'s
+    coefficients, so every touched key costs one new series. For the usual
+    one-term f (module notes) that is one pass over src[k]'s coefficients.
+    """
+    F, N = f.field, f.precision
+    g = [(v, F.neg(c)) for v, c in f.coeffs.items()]
     for k, y in src.items():
+        f._check(y)
         x = vec.get(k)
-        d = g * y if x is None else x + g * y
-        if d.coeffs:
-            vec[k] = d
+        if x is None:
+            out = {}
+        else:
+            f._check(x)
+            out = dict(x.coeffs)
+        for v, gc in g:
+            for e, cy in y.coeffs.items():
+                e += v
+                if e >= N:
+                    continue
+                p = F.mul(gc, cy)
+                if e not in out:
+                    out[e] = p
+                    continue
+                s = F.add(out[e], p)
+                if F.is_zero(s):
+                    del out[e]
+                else:
+                    out[e] = s
+        if out:
+            vec[k] = _series(F, N, out)
         else:
             vec.pop(k, None)
 
@@ -347,7 +400,8 @@ def _eliminate(a, nrows, ncols, V=None, target=None, cutoff=None):
             if target is not None:
                 target[pi], target[r] = target[r], target[pi]
         if pj != r:
-            for row in a:
+            # rows above r are already {k: pivot} with k < r
+            for row in a[r:]:
                 x, y = row.pop(pj, None), row.pop(r, None)
                 if x is not None:
                     row[r] = x

@@ -50,6 +50,27 @@ def test_dim_flag(tetra_file, capsys):
     assert out.strip().splitlines()[1:] == ["H_2 = R"]
 
 
+def test_calls_in_one_process_share_no_flags(tetra_file, capsys):
+    # the parser is built once per process; every call parses only its own argv
+    assert main(["--dim", "2", "--field", "gf:2", tetra_file]) == 0
+    assert capsys.readouterr().out.splitlines() == ["field: gf:2", "H_2 = R"]
+    parser = wsh.cli._parser
+    assert main([tetra_file]) == 0
+    text = capsys.readouterr().out
+    assert [line.split(" =")[0] for line in text.splitlines()] == [
+        "field: rational",
+        "H_0",
+        "H_1",
+        "H_2",
+    ]
+    assert main(["--json", "-", "--generators", tetra_file]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [d["n"] for d in payload["dimensions"]] == [0, 1, 2]
+    assert main([tetra_file]) == 0
+    assert capsys.readouterr().out == text
+    assert wsh.cli._parser is parser
+
+
 def test_json_to_file(glued_file, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     assert main(["--json", str(out_path), "--check", glued_file]) == 0

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wsh import (
+    FieldSpec,
     MismatchedDimensions,
     PrecisionExhausted,
     SeriesMatrix,
@@ -17,6 +20,8 @@ from wsh import (
     snf_valuations,
     weighted_boundary_matrix,
 )
+from wsh.oracle import _add_multiple
+from . import reference_oracle as ref
 from .conftest import (
     RATIONALS as Q,
     GF2,
@@ -83,6 +88,87 @@ def test_series_division_guards():
         mono(0).divide_exact(mono(1))
     with pytest.raises(ValueError):
         mono(1).inverse()
+
+
+_FIELDS = (Q, GF2, FieldSpec.prime_field(5))
+
+
+@st.composite
+def _series_dicts(draw, count):
+    """A field, a precision and `count` coefficient dicts.
+
+    Each dict is empty, one term or several terms; one exponent in two is
+    the top one, N - 1, where products and shifts fall off the precision.
+    """
+    field = draw(st.sampled_from(_FIELDS))
+    prec = draw(st.integers(1, 9))
+    exponent = st.one_of(st.integers(0, prec - 1), st.just(prec - 1))
+    if field.p is None:
+        coeff = st.builds(
+            lambda a, b: field.div(field.from_int(a), field.from_int(b)),
+            st.integers(-3, 3).filter(bool),
+            st.integers(1, 4),
+        )
+    else:
+        coeff = st.integers(1, field.p - 1)
+    one_term = st.builds(lambda e, c: {e: c}, exponent, coeff)
+    terms = st.dictionaries(exponent, coeff, min_size=min(2, prec), max_size=4)
+    series = st.one_of(one_term, terms, st.just({}))
+    return field, prec, [draw(series) for _ in range(count)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).coeffs
+    except (ArithmeticError, ValueError) as e:
+        return (type(e).__name__, str(e))
+
+
+@given(_series_dicts(2))
+def test_series_kernels_match_generic_arithmetic(drawn):
+    # tests/reference_oracle.py has the generic convolution and long division
+    field, prec, (a, b) = drawn
+    x, y = TruncatedSeries(field, prec, a), TruncatedSeries(field, prec, b)
+    rx, ry = ref.TruncatedSeries(field, prec, a), ref.TruncatedSeries(field, prec, b)
+    assert (x * y).coeffs == (rx * ry).coeffs
+    assert (y * x).coeffs == (ry * rx).coeffs
+    assert _outcome(x.divide_exact, y) == _outcome(rx.divide_exact, ry)
+    assert _outcome(y.inverse) == _outcome(ry.inverse)
+
+
+@given(_series_dicts(7))
+def test_add_multiple_matches_generic_arithmetic(drawn):
+    # vec holds keys 0..2 and src keys 1..3, less the empty draws
+    field, prec, dicts = drawn
+    f = TruncatedSeries(field, prec, dicts[0])
+    vec = {k: TruncatedSeries(field, prec, d) for k, d in zip((0, 1, 2), dicts[1:4]) if d}
+    src = {k: TruncatedSeries(field, prec, d) for k, d in zip((1, 2, 3), dicts[4:]) if d}
+    rf = ref.TruncatedSeries(field, prec, dicts[0])
+    expected = {k: ref.TruncatedSeries(field, prec, x.coeffs) for k, x in vec.items()}
+    for k, y in src.items():
+        ry = ref.TruncatedSeries(field, prec, y.coeffs)
+        expected[k] = expected.get(k, ref.TruncatedSeries(field, prec)) - rf * ry
+    _add_multiple(vec, f, src)
+    assert {k: x.coeffs for k, x in vec.items()} == {
+        k: x.coeffs for k, x in expected.items() if x.coeffs
+    }
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(mono(1, prec=4), mono(1, prec=5)), (mono(1, field=GF2), mono(1, field=FieldSpec(3)))],
+    ids=["precisions", "fields"],
+)
+def test_mixed_series_contexts_are_rejected(a, b):
+    for op in (
+        lambda: a + b,
+        lambda: a * b,
+        lambda: a.divide_exact(b),
+        lambda: _add_multiple({}, a, {0: b}),
+        lambda: _add_multiple({0: b}, a, {0: a}),
+    ):
+        with pytest.raises(MismatchedDimensions, match="series contexts differ"):
+            op()
 
 
 def test_monomial_beyond_precision():
