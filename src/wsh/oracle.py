@@ -19,7 +19,7 @@ faces and of the simplices. A least-valuation pivot in row r makes the
 multiplier of row i one term c'*pi^(a_i - a_r), and a_i - a_r + a_r - b_k
 = a_i - b_k, so a row operation keeps the shape; so does a column
 operation, the column transform (entries c*pi^(b_i - b_j)) and, through
-it, the kernel basis, [K | C] and W. So in practice every series here has
+it, the kernel basis and W. So in practice every series here has
 one coefficient, and the ring operations and _add_multiple take a short
 path on one-term operands: a product is one term, an exact quotient by
 c*pi^v is a shift by v and a scale by 1/c. The kernels stay general, and
@@ -41,9 +41,18 @@ That slack always exceeds the largest possible torsion exponent at this
 dimension (torsion exponents are bounded by the weights of the n-simplices,
 which the slack bound does not spend), so the second elimination runs with
 a certified cutoff and treats anything at or above it as zero.
+
+Kernel coordinates are read off the column transform, not solved for. A
+pivot column never changes after its own step, so the rows P that pivot
+columns cover are their origins, and a kernel column is one at its own
+origin plus pivot columns: K is the identity outside P, K * W = C has the
+one candidate W[k] = C[origin of k], and a residual C - K * W on P checks
+it, the condition a full solve tests in the truncated ring.
 """
 
 from __future__ import annotations
+
+import math
 
 from .complexes import WeightedComplex, boundary_exponent_matrix
 from .errors import DimensionOutOfRange, MismatchedDimensions, PrecisionExhausted
@@ -223,13 +232,6 @@ class TruncatedSeries:
                     rem[ne] = v
         return _series(F, self.precision, q)
 
-    def inverse(self):
-        """Inverse of a unit (valuation zero), to full precision."""
-        if self.valuation() != 0:
-            raise ValueError("only valuation-zero series are invertible")
-        one = _series(self.field, self.precision, {0: self.field.one()})
-        return one.divide_exact(self)
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSeries)
@@ -363,18 +365,13 @@ def _add_multiple(vec, f, src):
             vec.pop(k, None)
 
 
-def _min_valuation_pivot(a, start, cutoff):
-    """(valuation, row, column) of the first least-valuation entry by row, then column."""
-    best = None
-    for i in range(start, len(a)):
-        for j, x in a[i].items():
-            v = min(x.coeffs)
-            if cutoff is not None and v >= cutoff:
-                continue
-            if best is None or v < best[0] or (v == best[0] and i == best[1] and j < best[2]):
-                best = (v, i, j)
-        if best is not None and best[0] == 0:
-            return best
+def _row_least(row):
+    """(least valuation, first column holding it) of a sparse row, (inf, 0) if empty."""
+    best = (math.inf, 0)
+    for j, x in row.items():
+        v = min(x.coeffs)
+        if v < best[0] or (v == best[0] and j < best[1]):
+            best = (v, j)
     return best
 
 
@@ -387,26 +384,44 @@ def _eliminate(a, nrows, ncols, V=None, target=None, cutoff=None):
     by each pivot valuation and entries at or above it are treated as zero
     for the choice of pivot, per the certified-precision argument in the
     module docstring.
+
+    The pivot is the entry of least valuation, first by row and then by
+    column, among entries below the cutoff. least[i] caches _row_least(a[i]);
+    touching row i resets it to None, and the scan recomputes it on arrival.
     """
     vals = []
+    least = [None] * nrows
+    limit = math.inf if cutoff is None else cutoff
     r = 0
     while r < nrows and r < ncols:
-        found = _min_valuation_pivot(a, r, cutoff)
+        found = None
+        for i in range(r, nrows):
+            if least[i] is None:
+                least[i] = _row_least(a[i])
+            v, j = least[i]
+            if v < limit and (found is None or v < found[0]):
+                found = (v, i, j)
+                if v == 0:
+                    break
         if found is None:
             break
         v, pi, pj = found
         if pi != r:
             a[pi], a[r] = a[r], a[pi]
+            least[pi], least[r] = least[r], least[pi]
             if target is not None:
                 target[pi], target[r] = target[r], target[pi]
         if pj != r:
             # rows above r are already {k: pivot} with k < r
-            for row in a[r:]:
+            for i in range(r, nrows):
+                row = a[i]
                 x, y = row.pop(pj, None), row.pop(r, None)
                 if x is not None:
                     row[r] = x
                 if y is not None:
                     row[pj] = y
+                if x is not None or y is not None:
+                    least[i] = None
             if V is not None:
                 V[pj], V[r] = V[r], V[pj]
         row_r = a[r]
@@ -417,6 +432,7 @@ def _eliminate(a, nrows, ncols, V=None, target=None, cutoff=None):
                 continue
             f = lead.divide_exact(pivot)
             _add_multiple(a[i], f, row_r)
+            least[i] = None
             if target is not None and target[r].coeffs:
                 target[i] = target[i] - f * target[r]
             if r in a[i]:
@@ -429,8 +445,7 @@ def _eliminate(a, nrows, ncols, V=None, target=None, cutoff=None):
                     _add_multiple(V[j], entry.divide_exact(pivot), V[r])
         a[r] = {r: pivot}
         vals.append(v)
-        if cutoff is not None:
-            cutoff -= v
+        limit -= v
         r += 1
     if vals != sorted(vals):
         raise PrecisionExhausted("pivot valuations are not ascending")
@@ -455,33 +470,6 @@ def in_column_span(matrix: SeriesMatrix, target) -> bool:
         if tv is not None and tv < v:
             return False
     return all(t[i].is_zero() for i in range(len(vals), len(t)))
-
-
-def _solve_unit_pivots(aug, f):
-    """Solve K * W = C, given the sparse rows of [K | C], K of full column rank modulo pi.
-
-    K fills the first f columns and C the rest. Every pivot is a unit, so
-    no precision is lost. Rows of C outside the span must vanish; if they
-    do not, the precision assumptions were violated and PrecisionExhausted
-    is raised. Returns the sparse rows of W.
-    """
-    m = len(aug)
-    for j in range(f):
-        pivot_row = next((i for i in range(j, m) if j in aug[i] and 0 in aug[i][j].coeffs), None)
-        if pivot_row is None:
-            raise PrecisionExhausted("kernel basis lost its unit structure")
-        aug[j], aug[pivot_row] = aug[pivot_row], aug[j]
-        inv = aug[j][j].inverse()
-        # a unit times a nonzero series is nonzero
-        row_j = aug[j] = {k: inv * x for k, x in aug[j].items()}
-        for i in range(m):
-            lead = aug[i].get(j)
-            if i != j and lead is not None:
-                _add_multiple(aug[i], lead, row_j)
-    for i in range(f, m):
-        if any(k >= f for k in aug[i]):
-            raise PrecisionExhausted("image does not lie in the computed kernel")
-    return [{k - f: x for k, x in row.items() if k >= f} for row in aug[:f]]
 
 
 def homology_via_snf(X: WeightedComplex, n: int, field: FieldSpec):
@@ -511,12 +499,23 @@ def homology_via_snf(X: WeightedComplex, n: int, field: FieldSpec):
     if n + 1 > X.dim:
         return free_dim, []
     C = weighted_boundary_matrix(X, n + 1, field, N)
-    # rows of [kernel | C]: the kernel is V's columns r..m-1
-    aug = [{free_dim + k: x for k, x in row.items()} for row in C.rows]
-    for k, col in enumerate(V[r:]):
+    # the kernel K is V's columns r..m-1, the identity outside the rows P
+    # of the pivot columns (module notes)
+    P = set().union(*V[:r])
+    kernel = V[r:]
+    W = []
+    for col in kernel:
+        outside = [i for i in col if i not in P]
+        if len(outside) != 1 or col[outside[0]].coeffs != one.coeffs:
+            raise PrecisionExhausted("kernel basis lost its unit structure")
+        W.append(C.rows[outside[0]])
+    residual = {i: dict(C.rows[i]) for i in P}
+    for col, w in zip(kernel, W):
         for i, x in col.items():
-            aug[i][k] = x
-    W = SeriesMatrix(field, N, _solve_unit_pivots(aug, free_dim), C.ncols)
-    vals = snf_valuations(W, _cutoff=N - sum(vals_n))
+            if i in P:
+                _add_multiple(residual[i], x, w)
+    if any(residual.values()):
+        raise PrecisionExhausted("image does not lie in the computed kernel")
+    vals = snf_valuations(SeriesMatrix(field, N, W, C.ncols), _cutoff=N - sum(vals_n))
     torsion = [v for v in vals if v >= 1]
     return free_dim - len(vals), torsion

@@ -77,7 +77,7 @@ def _simplex_boundary_maximal(d):
 @pytest.mark.parametrize("field", [RATIONALS, GF2], ids=lambda f: f.name)
 def test_engine_matches_oracle_at_real_sizes(field):
     # the tori carry torsion in H_0 and H_1; the sphere has none
-    cases = [(torus_grid_complex(k, random.Random(k)), (1, 2, 1), True) for k in (6, 8, 12)]
+    cases = [(torus_grid_complex(k, random.Random(k)), (1, 2, 1), True) for k in (6, 8, 12, 18)]
     cases.append((parse_complex_file(_simplex_boundary_maximal(5)), (1, 0, 0, 0, 1), False))
     for X, free, torsion in cases:
         fast = [(m.free_rank, m.torsion) for m in homology_all(X, field)]
