@@ -13,6 +13,7 @@ the i-th smallest vertex and carries sign (-1)^i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
     DimensionOutOfRange,
@@ -141,14 +142,14 @@ def build_complex(pairs) -> WeightedComplex:
     for labels, w in weights.items():
         if len(labels) == 1:
             continue
-        # dropping the last vertex first scans faces in ascending
-        # lexicographic order, for deterministic error reporting
-        for i in reversed(range(len(labels))):
-            face = labels[:i] + labels[i + 1 :]
-            if face not in weights:
+        # combinations drops the last vertex first, so faces are scanned in
+        # ascending lexicographic order, for deterministic error reporting
+        for face in combinations(labels, len(labels) - 1):
+            wf = weights.get(face)
+            if wf is None:
                 raise MissingFace(labels, face)
-            if weights[face] < w:
-                raise MonotonicityViolation(face, labels, weights[face], w)
+            if wf < w:
+                raise MonotonicityViolation(face, labels, wf, w)
     return WeightedComplex(weights)
 
 
@@ -185,8 +186,7 @@ def _heaviest_cofaces(listed):
         # the vertices push to the empty face, which is never read
         below = {}
         for s, w in level.items():
-            for i in range(k):
-                face = s[:i] + s[i + 1 :]
+            for face in combinations(s, k - 1):
                 if below.get(face, -1) < w:
                     below[face] = w
         level = below
@@ -253,16 +253,26 @@ class BoundaryMatrix:
 
 
 def boundary_exponent_matrix(X: WeightedComplex, n: int) -> BoundaryMatrix:
+    """The BoundaryMatrix of dimension n, for 1 <= n <= X.dim.
+
+    Column j lists the faces of the j-th n-simplex s in signed_faces order:
+    the i-th triple drops the i-th smallest vertex of s, has sign (-1)^i
+    and exponent weight(face) - weight(s). Each face costs one lookup in a
+    map of the (n-1)-simplices to their row index and weight.
+    """
     if n < 1 or n > X.dim:
         raise DimensionOutOfRange(n, f"boundary defined for 1 <= n <= {X.dim}, got {n}")
     rows = X.n_simplices(n - 1)
     cols = X.n_simplices(n)
-    row_index = {s: i for i, s in enumerate(rows)}
+    weights = X._weights
+    row_of = {f: (i, weights[f]) for i, f in enumerate(rows)}
+    drops = [(i, (-1) ** i) for i in range(n + 1)]
     columns = []
     for s in cols:
-        ws = X.weight(s)
-        col = tuple(
-            (row_index[face], sign, X.weight(face) - ws) for face, sign in signed_faces(s)
-        )
-        columns.append(col)
+        ws = weights[s]
+        col = []
+        for i, sign in drops:
+            r, wf = row_of[s[:i] + s[i + 1 :]]
+            col.append((r, sign, wf - ws))
+        columns.append(tuple(col))
     return BoundaryMatrix(n, rows, cols, tuple(columns))

@@ -148,7 +148,8 @@ def _add_multiple(target, factor, source, field):
 
 def _processing_order(X, n):
     # decreasing weight, ties ascending lexicographic
-    return sorted(X.n_simplices(n), key=lambda s: (-X.weight(s), s))
+    weights = X._weights
+    return sorted(X.n_simplices(n), key=lambda s: (-weights[s], s))
 
 
 def _reduce(X, n, rows, field, with_cycles):
@@ -169,6 +170,7 @@ def _reduce(X, n, rows, field, with_cycles):
     position = {s: k for k, s in enumerate(rows)}
     row_pos = [position.get(s) for s in bm.row_simplices]
     columns = dict(zip(bm.col_simplices, bm.columns))
+    scalar = {1: field.from_int(1), -1: field.from_int(-1)}
     # chains are keyed by position in the processing order
     reduced = {}
     dependent, independent, cycles = [], [], {}
@@ -176,7 +178,7 @@ def _reduce(X, n, rows, field, with_cycles):
         column = {}
         for r, sign, _exp in columns[s]:
             if row_pos[r] is not None:
-                column[row_pos[r]] = field.from_int(sign)
+                column[row_pos[r]] = scalar[sign]
         chain = {i: field.one()} if with_cycles else {}
         while column:
             pivot = min(column)
@@ -185,7 +187,8 @@ def _reduce(X, n, rows, field, with_cycles):
             _s, pivot_column, pivot_chain, inv = reduced[pivot]
             f = field.neg(field.mul(column[pivot], inv))
             _add_multiple(column, f, pivot_column, field)
-            _add_multiple(chain, f, pivot_chain, field)
+            if with_cycles:
+                _add_multiple(chain, f, pivot_chain, field)
         if column:
             reduced[pivot] = (s, column, chain, field.inv(column[pivot]))
             independent.append(s)
@@ -241,7 +244,8 @@ def simplex_pairing(
     is paired with the owner its column pivots on. The same pass splits
     the (n+1)-simplices, with their cycles when with_cycles is set.
     """
-    owners = sorted(basis_n.dependent, key=lambda s: (X.weight(s), s))
+    weights = X._weights
+    owners = sorted(basis_n.dependent, key=lambda s: (weights[s], s))
     up, taken = _reduce(X, n + 1, owners, field, with_cycles)
     pairs, unpaired, row_coeffs = [], [], []
     for k, kappa in enumerate(owners):
@@ -249,7 +253,7 @@ def simplex_pairing(
             unpaired.append(kappa)
             continue
         mu, column, _chain, _inv = taken[k]
-        m = X.weight(kappa) - X.weight(mu)
+        m = weights[kappa] - weights[mu]
         if m < 0:
             raise ComplexError(
                 f"pair {{{' '.join(kappa)}}} / {{{' '.join(mu)}}} has negative exponent {m}: "

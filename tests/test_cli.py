@@ -133,6 +133,16 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_unwritable_json_path_exits_2(glued_file, tmp_path, capsys):
+    # a directory cannot be opened for writing
+    assert main(["--json", str(tmp_path), glued_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"wsh: error: cannot write {tmp_path}: ")
+
+
 def test_maximal_mode_through_cli(tmp_path, capsys):
     p = tmp_path / "torus_like.cplx"
     p.write_text("!maximal 0\na b c\nb c d\n")

@@ -18,7 +18,7 @@ from wsh import (
     signed_faces,
 )
 from wsh.complexes import WeightedComplex, _canonical_labels
-from .conftest import random_weighted_complex, tetra_boundary_complex
+from .conftest import random_weighted_complex, tetra_boundary_complex, torus_grid_complex
 from .dense import Matrix
 from .reference_complexes import _closure
 
@@ -170,6 +170,31 @@ def test_boundary_matrix_tetra_edges():
     for j, edge in enumerate(bm.col_simplices):
         expected = 1 if edge == ("A", "B") else 3
         assert all(exp == expected for _r, _s, exp in bm.columns[j])
+
+
+def _boundary_by_definition(X, n):
+    rows = X.n_simplices(n - 1)
+    row_index = {f: i for i, f in enumerate(rows)}
+    return tuple(
+        tuple((row_index[f], sign, X.weight(f) - X.weight(s)) for f, sign in signed_faces(s))
+        for s in X.n_simplices(n)
+    )
+
+
+def test_boundary_matrix_matches_signed_faces_definition(corpus):
+    # every column lists its faces in signed_faces order, triple by triple
+    tori = [torus_grid_complex(k, random.Random(k)) for k in range(4, 13)]
+    spheres = [
+        from_maximal(itertools.combinations([f"x{i}" for i in range(d + 1)], d), d)
+        for d in range(3, 11)
+    ]
+    for X in [X for X, _field in corpus] + tori + spheres:
+        for n in range(1, X.dim + 1):
+            bm = boundary_exponent_matrix(X, n)
+            assert bm.n == n
+            assert bm.row_simplices == X.n_simplices(n - 1)
+            assert bm.col_simplices == X.n_simplices(n)
+            assert bm.columns == _boundary_by_definition(X, n)
 
 
 def test_boundary_matrix_dimension_range():
