@@ -45,7 +45,6 @@ from .homology import (
     SimplexPairing,
     WeightedChain,
     cycle_basis,
-    homology,
     homology_all,
     lift_cycle,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "complete_faces",
     "cycle_basis",
     "from_maximal",
-    "homology",
     "homology_all",
     "homology_via_snf",
     "in_column_span",

@@ -103,10 +103,7 @@ def main(argv=None) -> int:
 
     try:
         X = parse_complex_file(text, complete=args.complete_faces)
-    except ParseError as e:
-        print(f"wsh: error: {args.file}: {e}", file=sys.stderr)
-        return INPUT_ERROR
-    except ComplexError as e:
+    except (ParseError, ComplexError) as e:
         print(f"wsh: error: {args.file}: {e}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -232,7 +232,9 @@ def complete_faces(pairs) -> WeightedComplex:
                 (t, wt) for t, wt in items if len(t) > len(s) and ws < wt and sset.issubset(t)
             )
             raise MonotonicityViolation(s, t, ws, wt)
-    return build_complex(weights.items())
+    # the closure holds every face, and each face weighs the most of its
+    # listed cofaces, so it is monotone once the listed check has passed
+    return WeightedComplex(weights)
 
 
 @dataclass(frozen=True)

@@ -14,30 +14,28 @@ class InvalidSimplex(ComplexError):
 
 
 class DuplicateSimplex(ComplexError):
-    def __init__(self, simplex, message=None):
+    def __init__(self, simplex):
         self.simplex = tuple(simplex)
-        super().__init__(message or f"simplex {{{' '.join(self.simplex)}}} listed more than once")
+        super().__init__(f"simplex {{{' '.join(self.simplex)}}} listed more than once")
 
 
 class MissingFace(ComplexError):
-    def __init__(self, simplex, face, message=None):
+    def __init__(self, simplex, face):
         self.simplex = tuple(simplex)
         self.face = tuple(face)
         super().__init__(
-            message
-            or f"face {{{' '.join(self.face)}}} of {{{' '.join(self.simplex)}}} is not in the complex"
+            f"face {{{' '.join(self.face)}}} of {{{' '.join(self.simplex)}}} is not in the complex"
         )
 
 
 class MonotonicityViolation(ComplexError):
-    def __init__(self, face, coface, face_weight, coface_weight, message=None):
+    def __init__(self, face, coface, face_weight, coface_weight):
         self.face = tuple(face)
         self.coface = tuple(coface)
         self.face_weight = face_weight
         self.coface_weight = coface_weight
         super().__init__(
-            message
-            or "weight of face {{{}}} is {} but its coface {{{}}} has weight {}".format(
+            "weight of face {{{}}} is {} but its coface {{{}}} has weight {}".format(
                 " ".join(self.face), face_weight, " ".join(self.coface), coface_weight
             )
         )
@@ -46,11 +44,10 @@ class MonotonicityViolation(ComplexError):
 class SimplexTooLarge(ComplexError):
     """A record whose faces would be filled in has too many vertices."""
 
-    def __init__(self, simplex, limit, message=None):
+    def __init__(self, simplex, limit):
         self.simplex = tuple(simplex)
         super().__init__(
-            message
-            or f"simplex with {len(self.simplex)} vertices would have {2 ** len(self.simplex) - 1} "
+            f"simplex with {len(self.simplex)} vertices would have {2 ** len(self.simplex) - 1} "
             f"faces; filling in faces takes at most {limit} vertices ({2 ** limit - 1} faces)"
         )
 

@@ -2,29 +2,37 @@
 
 Everything here works directly with matrices over F[[pi]] truncated at a
 precision N, using Smith-normal-form style elimination with minimal
-valuation pivots: homology is read from a kernel basis over the series
-ring and the invariant factors of the image inside it. The oracle is
-independent of the fast path in wsh.homology: it shares no code with it,
-and its pivots follow its own rule, the entry of least valuation, first
-by row and then by column. A SeriesMatrix is stored as sparse rows,
-{column: nonzero series}, from the boundary map to the last elimination,
-so memory grows with the nonzero entries rather than with rows x columns,
-and the work skipped is exactly the adding and multiplying of exact zeros;
-every pivot and every answer is the one the dense elimination gives.
+valuation pivots: homology is read off the invariant factors of the
+weighted boundary maps. The oracle is independent of the fast path in
+wsh.homology: it shares no code with it, and its pivots follow its own
+rule, the entry of least valuation, first by row and then by column. A
+SeriesMatrix is stored as sparse rows, {column: nonzero series}, from the
+boundary map to the end of its elimination, so memory grows with the
+nonzero entries rather than with rows x columns, and the work skipped is
+exactly the adding and multiplying of exact zeros; every pivot and every
+answer is the one the dense elimination gives.
+
+Homology from Smith forms. R = F[[pi]] is a principal ideal domain and
+C_n / Z_n is isomorphic to B_(n-1), a submodule of a free module, hence
+free. So Z_n is a direct summand of C_n, and C_n / B_n is H_n plus a free
+module of rank rank d_n. The Smith form of d_(n+1) makes C_n / B_n
+R^(m - rank d_(n+1)) plus R/(pi^v) for each invariant factor pi^v with
+v >= 1, where m is the number of n-simplices. So H_n is free of rank
+m - rank d_n - rank d_(n+1) with that torsion (Munkres, Elements of
+Algebraic Topology, section 11), and no kernel basis is needed.
 
 Single-term invariant. Every matrix the oracle eliminates carries weights
 a_i on its rows and b_j on its columns, and entry (i, j) is zero or one
 term c*pi^(a_i - b_j): for the boundary map these are the weights of the
 faces and of the simplices. A least-valuation pivot in row r makes the
 multiplier of row i one term c'*pi^(a_i - a_r), and a_i - a_r + a_r - b_k
-= a_i - b_k, so a row operation keeps the shape; so does a column
-operation, the column transform (entries c*pi^(b_i - b_j)) and, through
-it, the kernel basis and W. So in practice every series here has
-one coefficient, and the ring operations and _add_multiple take a short
-path on one-term operands: a product is one term, an exact quotient by
-c*pi^v is a shift by v and a scale by 1/c. The kernels stay general, and
-series with several terms, such as hand-built matrices and span targets,
-take the convolution and long division; both give the same field values.
+= a_i - b_k, so a row operation keeps the shape, and so does a column
+swap. So in practice every series here has one coefficient, and the ring
+operations and _add_multiple take a short path on one-term operands: a
+product is one term, an exact quotient by c*pi^v is a shift by v and a
+scale by 1/c. The kernels stay general, and series with several terms,
+such as hand-built matrices and span targets, take the convolution and
+long division; both give the same field values.
 
 Precision discipline. Truncation at pi^N is a ring quotient, so addition,
 subtraction and multiplication are exact in the quotient ring. Exact
@@ -34,20 +42,6 @@ choose_precision returns N = 1 + (sum of all weights), which keeps every
 invariant factor of a weighted boundary matrix visible: a k x k minor takes
 entries from k distinct rows, each entry exponent is at most the weight of
 its row, so every determinantal divisor valuation stays below N.
-
-For the quotient-module step the kernel coordinates are certain only below
-pi^(N - s) where s is the sum of the first elimination's pivot valuations.
-That slack always exceeds the largest possible torsion exponent at this
-dimension (torsion exponents are bounded by the weights of the n-simplices,
-which the slack bound does not spend), so the second elimination runs with
-a certified cutoff and treats anything at or above it as zero.
-
-Kernel coordinates are read off the column transform, not solved for. A
-pivot column never changes after its own step, so the rows P that pivot
-columns cover are their origins, and a kernel column is one at its own
-origin plus pivot columns: K is the identity outside P, K * W = C has the
-one candidate W[k] = C[origin of k], and a residual C - K * W on P checks
-it, the condition a full solve tests in the truncated ring.
 """
 
 from __future__ import annotations
@@ -301,12 +295,13 @@ def weighted_boundary_matrix(X, n, field, precision=None) -> SeriesMatrix:
     N = choose_precision(X) if precision is None else precision
     bm = boundary_exponent_matrix(X, n)
     rows = [{} for _ in bm.row_simplices]
+    # sign is +-1, a nonzero scalar in every field
+    scalar = {1: field.from_int(1), -1: field.from_int(-1)}
     for j, col in enumerate(bm.columns):
         for row, sign, exp in col:
-            # sign is +-1, a nonzero scalar in every field
             if exp >= N:
                 raise _unrepresentable(exp, N)
-            rows[row][j] = _series(field, N, {exp: field.from_int(sign)})
+            rows[row][j] = _series(field, N, {exp: scalar[sign]})
     return SeriesMatrix(field, N, rows, len(bm.col_simplices))
 
 
@@ -323,9 +318,8 @@ def chain_to_series(chain, X, field, precision):
     return out
 
 
-# Elimination works on the sparse rows of a SeriesMatrix and on sparse
-# columns of the column transform, {row: nonzero series}, so a row or
-# column operation visits only nonzero positions.
+# Elimination works on sparse rows, {column: nonzero series}, so a row
+# operation visits only nonzero positions.
 
 
 def _add_multiple(vec, f, src):
@@ -375,37 +369,32 @@ def _row_least(row):
     return best
 
 
-def _eliminate(a, nrows, ncols, V=None, target=None, cutoff=None):
+def _eliminate(a, nrows, ncols, target=None):
     """Diagonalize the sparse rows a in place with minimal-valuation pivots.
 
-    Row operations are mirrored onto the dense target when given; column
-    operations onto the sparse columns V when given, which start as the
-    identity. Returns the pivot valuations. The cutoff, when given, shrinks
-    by each pivot valuation and entries at or above it are treated as zero
-    for the choice of pivot, per the certified-precision argument in the
-    module docstring.
+    Row operations are mirrored onto the dense target when given. Returns
+    the pivot valuations.
 
     The pivot is the entry of least valuation, first by row and then by
-    column, among entries below the cutoff. least[i] caches _row_least(a[i]);
-    touching row i resets it to None, and the scan recomputes it on arrival.
+    column. least[i] caches _row_least(a[i]); touching row i resets it to
+    None, and the scan recomputes it on arrival.
     """
     vals = []
     least = [None] * nrows
-    limit = math.inf if cutoff is None else cutoff
     r = 0
     while r < nrows and r < ncols:
-        found = None
+        found, v = None, math.inf
         for i in range(r, nrows):
             if least[i] is None:
                 least[i] = _row_least(a[i])
-            v, j = least[i]
-            if v < limit and (found is None or v < found[0]):
-                found = (v, i, j)
+            if least[i][0] < v:
+                v, j = least[i]
+                found = (i, j)
                 if v == 0:
                     break
         if found is None:
             break
-        v, pi, pj = found
+        pi, pj = found
         if pi != r:
             a[pi], a[r] = a[r], a[pi]
             least[pi], least[r] = least[r], least[pi]
@@ -422,8 +411,6 @@ def _eliminate(a, nrows, ncols, V=None, target=None, cutoff=None):
                     row[pj] = y
                 if x is not None or y is not None:
                     least[i] = None
-            if V is not None:
-                V[pj], V[r] = V[r], V[pj]
         row_r = a[r]
         pivot = row_r[r]
         for i in range(r + 1, nrows):
@@ -439,23 +426,18 @@ def _eliminate(a, nrows, ncols, V=None, target=None, cutoff=None):
                 raise PrecisionExhausted("elimination left a nonzero entry below the pivot")
         # the pivot column is zero below r, so clearing the rest of the
         # pivot row is a column operation that only affects the pivot row
-        if V is not None:
-            for j, entry in row_r.items():
-                if j != r:
-                    _add_multiple(V[j], entry.divide_exact(pivot), V[r])
         a[r] = {r: pivot}
         vals.append(v)
-        limit -= v
         r += 1
     if vals != sorted(vals):
         raise PrecisionExhausted("pivot valuations are not ascending")
     return vals
 
 
-def snf_valuations(matrix: SeriesMatrix, _cutoff=None):
+def snf_valuations(matrix: SeriesMatrix):
     """Valuations of the nonzero invariant factors, ascending."""
     a = [dict(row) for row in matrix.rows]
-    return _eliminate(a, matrix.nrows, matrix.ncols, cutoff=_cutoff)
+    return _eliminate(a, matrix.nrows, matrix.ncols)
 
 
 def in_column_span(matrix: SeriesMatrix, target) -> bool:
@@ -475,8 +457,9 @@ def in_column_span(matrix: SeriesMatrix, target) -> bool:
 def homology_via_snf(X: WeightedComplex, n: int, field: FieldSpec):
     """(free rank, ascending torsion exponents) of H_n, by brute force.
 
-    Kernel basis of the weighted boundary over the series ring, image
-    coordinates inside it, then invariant factors of the coordinate matrix.
+    Invariant factors of d_n and d_(n+1) over the series ring, read as in
+    the module notes: the free rank is m - rank d_n - rank d_(n+1), and the
+    torsion is the nonunit invariant factors of d_(n+1).
     """
     if n < 0:
         raise DimensionOutOfRange(n)
@@ -484,38 +467,6 @@ def homology_via_snf(X: WeightedComplex, n: int, field: FieldSpec):
     if m == 0:
         return 0, []
     N = choose_precision(X)
-    one = TruncatedSeries.monomial(field, N, 0)
-    # column j of V is the transform's column j, {row: series}
-    V = [{j: one} for j in range(m)]
-    if n == 0:
-        vals_n = []
-    else:
-        A = weighted_boundary_matrix(X, n, field, N)
-        vals_n = _eliminate(A.rows, A.nrows, A.ncols, V=V)
-    r = len(vals_n)
-    free_dim = m - r
-    if free_dim == 0:
-        return 0, []
-    if n + 1 > X.dim:
-        return free_dim, []
-    C = weighted_boundary_matrix(X, n + 1, field, N)
-    # the kernel K is V's columns r..m-1, the identity outside the rows P
-    # of the pivot columns (module notes)
-    P = set().union(*V[:r])
-    kernel = V[r:]
-    W = []
-    for col in kernel:
-        outside = [i for i in col if i not in P]
-        if len(outside) != 1 or col[outside[0]].coeffs != one.coeffs:
-            raise PrecisionExhausted("kernel basis lost its unit structure")
-        W.append(C.rows[outside[0]])
-    residual = {i: dict(C.rows[i]) for i in P}
-    for col, w in zip(kernel, W):
-        for i, x in col.items():
-            if i in P:
-                _add_multiple(residual[i], x, w)
-    if any(residual.values()):
-        raise PrecisionExhausted("image does not lie in the computed kernel")
-    vals = snf_valuations(SeriesMatrix(field, N, W, C.ncols), _cutoff=N - sum(vals_n))
-    torsion = [v for v in vals if v >= 1]
-    return free_dim - len(vals), torsion
+    r = len(snf_valuations(weighted_boundary_matrix(X, n, field, N))) if n >= 1 else 0
+    vals = snf_valuations(weighted_boundary_matrix(X, n + 1, field, N)) if n < X.dim else []
+    return m - r - len(vals), [v for v in vals if v >= 1]

@@ -12,13 +12,13 @@ from wsh import (
     ParseError,
     build_complex,
     from_maximal,
-    homology,
     homology_all,
     parse_complex_file,
     render_json_report,
     render_text_report,
     serialize_complex,
 )
+from wsh.homology import homology
 from .conftest import RATIONALS as Q
 from .conftest import glued_triangles_complex, random_weighted_complex, tetra_boundary_complex
 from .reference_report import render_json_report_reference

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import pathlib
@@ -14,10 +15,10 @@ from wsh import (
     build_complex,
     cycle_basis,
     from_maximal,
-    homology,
     homology_all,
     lift_cycle,
 )
+from wsh.homology import homology
 from .conftest import RATIONALS as Q
 from .conftest import GF2
 
@@ -192,6 +193,12 @@ def test_homology_all_consistent_with_single_calls(glued_triangles):
     for m in mods:
         single = homology(glued_triangles, m.n, Q)
         assert (single.free_rank, single.torsion) == (m.free_rank, m.torsion)
+
+
+def test_wsh_homology_is_the_module():
+    # the package does not shadow its submodule with the homology function
+    assert inspect.ismodule(wsh.homology)
+    assert wsh.homology.homology_all is wsh.homology_all
 
 
 def test_homology_out_of_range(hollow_triangle):

@@ -16,12 +16,12 @@ from wsh import (
     FieldSpec,
     build_complex,
     cycle_basis,
-    homology,
     homology_all,
     parse_complex_file,
     render_json_report,
     render_text_report,
 )
+from wsh.homology import homology
 
 from . import reference_homology as ref
 from .conftest import CORPUS_FIELDS, random_weighted_complex, torus_grid_complex

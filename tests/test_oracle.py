@@ -20,7 +20,6 @@ from wsh import (
     snf_valuations,
     weighted_boundary_matrix,
 )
-import wsh.oracle
 from wsh.oracle import _add_multiple, _eliminate
 from . import reference_oracle as ref
 from .conftest import (
@@ -278,7 +277,7 @@ def test_snf_invariant_under_unimodular_factors():
 
 @st.composite
 def _single_term_matrices(draw):
-    """A dense matrix of zero and one-term entries, with an optional cutoff.
+    """A dense matrix of zero and one-term entries and a dense target column.
 
     Valuations come from 0..3, so ties between candidate pivots are common;
     the entries do not follow the a_i - b_j shape, so eliminating them also
@@ -288,19 +287,17 @@ def _single_term_matrices(draw):
     prec = draw(st.integers(1, 8))
     nrows, ncols = draw(st.integers(1, 25)), draw(st.integers(1, 25))
     density = draw(st.sampled_from((0.1, 0.3, 0.7)))
-    cutoff = draw(st.one_of(st.none(), st.integers(0, prec)))
     rng = draw(st.randoms(use_true_random=False))
     units = range(1, 7) if field.p is None else range(1, field.p)
-    rows = [
-        [
-            {rng.randrange(min(4, prec)): field.from_int(rng.choice(units))}
-            if rng.random() < density
-            else {}
-            for _ in range(ncols)
-        ]
-        for _ in range(nrows)
-    ]
-    return field, prec, rows, cutoff
+
+    def entry():
+        if rng.random() < density:
+            return {rng.randrange(min(4, prec)): field.from_int(rng.choice(units))}
+        return {}
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    target = [entry() for _ in range(nrows)]
+    return field, prec, rows, target
 
 
 def _elimination_outcome(eliminate, *args, **kwargs):
@@ -313,77 +310,24 @@ def _elimination_outcome(eliminate, *args, **kwargs):
 @settings(max_examples=60, deadline=None)
 @given(_single_term_matrices())
 def test_eliminate_matches_reference_pivots(drawn):
-    # the valuations, the pivot series and the column transform pin the
-    # pivot rule: least valuation, then first row, then first column
-    field, prec, rows, cutoff = drawn
+    # the valuations, the pivot series and the mirrored target column pin
+    # the pivot rule, least valuation, then first row, then first column,
+    # and the row swaps and row operations that follow it
+    field, prec, rows, target = drawn
     nrows, ncols = len(rows), len(rows[0])
     a = [{j: TruncatedSeries(field, prec, d) for j, d in enumerate(row) if d} for row in rows]
-    V = [{j: TruncatedSeries.monomial(field, prec, 0)} for j in range(ncols)]
-    got = _elimination_outcome(_eliminate, a, nrows, ncols, V=V, cutoff=cutoff)
+    t = [TruncatedSeries(field, prec, d) for d in target]
+    got = _elimination_outcome(_eliminate, a, nrows, ncols, target=t)
     ra = [[ref.TruncatedSeries(field, prec, d) for d in row] for row in rows]
-    expected = _elimination_outcome(ref._eliminate, ra, nrows, ncols, track_cols=True, cutoff=cutoff)
+    rt = [ref.TruncatedSeries(field, prec, d) for d in target]
+    expected = _elimination_outcome(ref._eliminate, ra, nrows, ncols, target=rt)
     if isinstance(expected, str):
         assert got == expected
         return
-    vals, rV = expected
+    vals, _ = expected
     assert got == vals
     assert [a[k][k].coeffs for k in range(len(vals))] == [ra[k][k].coeffs for k in range(len(vals))]
-    dense_V = [[V[j][i].coeffs if i in V[j] else {} for j in range(ncols)] for i in range(ncols)]
-    assert dense_V == [[x.coeffs for x in row] for row in rV]
-
-
-def _kernel_outside_pivot_support(X, n, field):
-    """Assert that the kernel columns after eliminating the boundary map are
-    the identity on the rows outside the pivot columns; count them."""
-    A = weighted_boundary_matrix(X, n, field)
-    one = TruncatedSeries.monomial(field, A.precision, 0)
-    V = [{j: one} for j in range(A.ncols)]
-    r = len(_eliminate(A.rows, A.nrows, A.ncols, V=V))
-    P = set().union(*V[:r])
-    assert len(P) == r
-    origins = []
-    for col in V[r:]:
-        outside = {i: x.coeffs for i, x in col.items() if i not in P}
-        assert list(outside.values()) == [one.coeffs], (n, field.name)
-        origins.extend(outside)
-    assert sorted(origins) == sorted(set(range(A.ncols)) - P)
-    return A.ncols - r
-
-
-def test_kernel_basis_is_identity_outside_the_pivot_support(corpus):
-    # homology_via_snf reads the kernel coordinates of the image off this
-    # structure instead of solving for them
-    kernels = 0
-    for k in range(4, 11):
-        X = torus_grid_complex(k, random.Random(k))
-        for field in (Q, GF2):
-            kernels += sum(_kernel_outside_pivot_support(X, n, field) for n in (1, 2))
-    for X, field in corpus:
-        kernels += sum(_kernel_outside_pivot_support(X, n, field) for n in range(1, X.dim + 1))
-    assert kernels > 0
-
-
-def test_forced_precision_leaves_the_image_outside_the_kernel(monkeypatch):
-    # a filled triangle with a pendant edge: at precision 3 the boundary of
-    # the triangle is not a combination of the computed kernel basis
-    X = build_complex(
-        [
-            (("v0",), 3),
-            (("v1",), 2),
-            (("v2",), 2),
-            (("v3",), 3),
-            (("v0", "v2"), 2),
-            (("v1", "v2"), 0),
-            (("v1", "v3"), 1),
-            (("v2", "v3"), 1),
-            (("v1", "v2", "v3"), 0),
-        ]
-    )
-    assert homology_via_snf(X, 1, Q) == (0, [])
-    monkeypatch.setattr(wsh.oracle, "choose_precision", lambda _X: 3)
-    for field in (Q, GF2):
-        with pytest.raises(PrecisionExhausted, match="image does not lie in the computed kernel"):
-            homology_via_snf(X, 1, field)
+    assert [x.coeffs for x in t] == [x.coeffs for x in rt]
 
 
 def test_weighted_boundary_matrix_entries(filled_triangle):
