@@ -6,99 +6,16 @@ weight turns the simplicial boundary map into a map of free modules over
 the power series ring, and its homology picks up torsion that plain
 homology cannot see. This package computes those modules two independent
 ways: a fast path that never leaves the residue field, and a truncated
-series verifier used for cross-checking.
+series verifier used for cross-checking. The package exports the names
+of the README's Library section; the rest is imported from its module:
+wsh.complexes, wsh.fields, wsh.fileio, wsh.homology, wsh.oracle, wsh.errors.
 """
 
-from .complexes import (
-    BoundaryMatrix,
-    WeightedComplex,
-    boundary_exponent_matrix,
-    build_complex,
-    complete_faces,
-    from_maximal,
-    signed_faces,
-)
-from .errors import (
-    ComplexError,
-    DimensionOutOfRange,
-    DuplicateSimplex,
-    EmptyInput,
-    InvalidSimplex,
-    MismatchedDimensions,
-    MissingFace,
-    MonotonicityViolation,
-    ParseError,
-    PrecisionExhausted,
-    ZeroChain,
-)
+from .complexes import build_complex
 from .fields import FieldSpec
-from .fileio import (
-    parse_complex_file,
-    render_json_report,
-    render_text_report,
-    serialize_complex,
-)
-from .homology import (
-    CycleBasis,
-    HomologyModule,
-    PairedSimplices,
-    SimplexPairing,
-    WeightedChain,
-    cycle_basis,
-    homology_all,
-    lift_cycle,
-)
-from .oracle import (
-    SeriesMatrix,
-    TruncatedSeries,
-    chain_to_series,
-    choose_precision,
-    homology_via_snf,
-    in_column_span,
-    snf_valuations,
-    weighted_boundary_matrix,
-)
+from .fileio import parse_complex_file
+from .homology import cycle_basis, homology_all
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryMatrix",
-    "ComplexError",
-    "CycleBasis",
-    "DimensionOutOfRange",
-    "DuplicateSimplex",
-    "EmptyInput",
-    "FieldSpec",
-    "HomologyModule",
-    "InvalidSimplex",
-    "MismatchedDimensions",
-    "MissingFace",
-    "MonotonicityViolation",
-    "PairedSimplices",
-    "ParseError",
-    "PrecisionExhausted",
-    "SeriesMatrix",
-    "SimplexPairing",
-    "TruncatedSeries",
-    "WeightedChain",
-    "WeightedComplex",
-    "ZeroChain",
-    "boundary_exponent_matrix",
-    "build_complex",
-    "chain_to_series",
-    "choose_precision",
-    "complete_faces",
-    "cycle_basis",
-    "from_maximal",
-    "homology_all",
-    "homology_via_snf",
-    "in_column_span",
-    "lift_cycle",
-    "parse_complex_file",
-    "render_json_report",
-    "render_text_report",
-    "serialize_complex",
-    "signed_faces",
-    "snf_valuations",
-    "weighted_boundary_matrix",
-]
+__all__ = ["FieldSpec", "build_complex", "cycle_basis", "homology_all", "parse_complex_file"]

@@ -31,8 +31,8 @@ swap. So in practice every series here has one coefficient, and the ring
 operations and _add_multiple take a short path on one-term operands: a
 product is one term, an exact quotient by c*pi^v is a shift by v and a
 scale by 1/c. The kernels stay general, and series with several terms,
-such as hand-built matrices and span targets, take the convolution and
-long division; both give the same field values.
+such as hand-built matrices, take the convolution and long division; both
+give the same field values.
 
 Precision discipline. Truncation at pi^N is a ring quotient, so addition,
 subtraction and multiplication are exact in the quotient ring. Exact
@@ -57,9 +57,7 @@ __all__ = [
     "SeriesMatrix",
     "choose_precision",
     "weighted_boundary_matrix",
-    "chain_to_series",
     "snf_valuations",
-    "in_column_span",
     "homology_via_snf",
 ]
 
@@ -305,19 +303,6 @@ def weighted_boundary_matrix(X, n, field, precision=None) -> SeriesMatrix:
     return SeriesMatrix(field, N, rows, len(bm.col_simplices))
 
 
-def chain_to_series(chain, X, field, precision):
-    """Coordinate vector of a WeightedChain over the n-simplex basis."""
-    basis = X.n_simplices(chain.n)
-    pos = {s: i for i, s in enumerate(basis)}
-    out = [TruncatedSeries.zero(field, precision) for _ in basis]
-    for s, terms in chain.terms.items():
-        out[pos[tuple(s)]] = TruncatedSeries(field, precision, dict(terms))
-        for e, _c in terms:
-            if e >= precision:
-                raise PrecisionExhausted(f"exponent {e} at precision {precision}")
-    return out
-
-
 # Elimination works on sparse rows, {column: nonzero series}, so a row
 # operation visits only nonzero positions.
 
@@ -369,11 +354,9 @@ def _row_least(row):
     return best
 
 
-def _eliminate(a, nrows, ncols, target=None):
-    """Diagonalize the sparse rows a in place with minimal-valuation pivots.
-
-    Row operations are mirrored onto the dense target when given. Returns
-    the pivot valuations.
+def _eliminate(a, nrows, ncols):
+    """Diagonalize the sparse rows a in place with minimal-valuation pivots,
+    returning the pivot valuations.
 
     The pivot is the entry of least valuation, first by row and then by
     column. least[i] caches _row_least(a[i]); touching row i resets it to
@@ -398,8 +381,6 @@ def _eliminate(a, nrows, ncols, target=None):
         if pi != r:
             a[pi], a[r] = a[r], a[pi]
             least[pi], least[r] = least[r], least[pi]
-            if target is not None:
-                target[pi], target[r] = target[r], target[pi]
         if pj != r:
             # rows above r are already {k: pivot} with k < r
             for i in range(r, nrows):
@@ -420,8 +401,6 @@ def _eliminate(a, nrows, ncols, target=None):
             f = lead.divide_exact(pivot)
             _add_multiple(a[i], f, row_r)
             least[i] = None
-            if target is not None and target[r].coeffs:
-                target[i] = target[i] - f * target[r]
             if r in a[i]:
                 raise PrecisionExhausted("elimination left a nonzero entry below the pivot")
         # the pivot column is zero below r, so clearing the rest of the
@@ -438,20 +417,6 @@ def snf_valuations(matrix: SeriesMatrix):
     """Valuations of the nonzero invariant factors, ascending."""
     a = [dict(row) for row in matrix.rows]
     return _eliminate(a, matrix.nrows, matrix.ncols)
-
-
-def in_column_span(matrix: SeriesMatrix, target) -> bool:
-    """Whether target lies in the column span over the truncated ring."""
-    if len(target) != matrix.nrows:
-        raise MismatchedDimensions("target length does not match row count")
-    t = list(target)
-    a = [dict(row) for row in matrix.rows]
-    vals = _eliminate(a, matrix.nrows, matrix.ncols, target=t)
-    for k, v in enumerate(vals):
-        tv = t[k].valuation()
-        if tv is not None and tv < v:
-            return False
-    return all(t[i].is_zero() for i in range(len(vals), len(t)))
 
 
 def homology_via_snf(X: WeightedComplex, n: int, field: FieldSpec):

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from wsh import FieldSpec, build_complex, from_maximal
+from wsh.complexes import build_complex, from_maximal
+from wsh.fields import FieldSpec
 
 RATIONALS = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)

@@ -5,7 +5,8 @@ the sparse reductions of wsh.homology, so ranks taken here check them
 independently.
 """
 
-from wsh import FieldSpec, MismatchedDimensions
+from wsh.errors import MismatchedDimensions
+from wsh.fields import FieldSpec
 
 
 class Matrix:

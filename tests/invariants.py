@@ -6,16 +6,14 @@ invariant holds, so callers can aggregate or assert as they see fit.
 
 import random
 
-from wsh import (
+from wsh.complexes import boundary_exponent_matrix, build_complex, signed_faces
+from wsh.errors import PrecisionExhausted
+from wsh.homology import cycle_basis, homology_all
+from wsh.oracle import (
     SeriesMatrix,
     TruncatedSeries,
-    boundary_exponent_matrix,
-    build_complex,
-    chain_to_series,
     choose_precision,
-    cycle_basis,
-    homology_all,
-    in_column_span,
+    snf_valuations,
     weighted_boundary_matrix,
 )
 
@@ -55,6 +53,43 @@ def series_mat_mul(left, right):
     return SeriesMatrix(left.field, left.precision, rows, right.ncols)
 
 
+def chain_to_series(chain, X, field, precision):
+    """Coordinate vector of a WeightedChain over the n-simplex basis."""
+    basis = X.n_simplices(chain.n)
+    pos = {s: i for i, s in enumerate(basis)}
+    out = [TruncatedSeries.zero(field, precision) for _ in basis]
+    for s, terms in chain.terms.items():
+        out[pos[tuple(s)]] = TruncatedSeries(field, precision, dict(terms))
+        for e, _c in terms:
+            if e >= precision:
+                raise PrecisionExhausted(f"exponent {e} at precision {precision}")
+    return out
+
+
+def all_in_column_span(matrix, targets):
+    """Whether every target vector lies in the column span over R/pi^N.
+
+    im A lies in im [A | T], and the quotient of (R/pi^N)^m by each image
+    has the finite length its invariant factors fix. So the images are equal,
+    which is every column of T lying in im A, exactly when the invariant
+    factors of [A | T] and of A agree: one elimination answers every target.
+    """
+    rows = [dict(row) for row in matrix.rows]
+    for t, vec in enumerate(targets):
+        if len(vec) != matrix.nrows:
+            raise ValueError("target length does not match row count")
+        for i, x in enumerate(vec):
+            if not x.is_zero():
+                rows[i][matrix.ncols + t] = x
+    augmented = SeriesMatrix(matrix.field, matrix.precision, rows, matrix.ncols + len(targets))
+    return snf_valuations(augmented) == snf_valuations(matrix)
+
+
+def in_column_span(matrix, target):
+    """Whether the target vector lies in the column span over R/pi^N."""
+    return all_in_column_span(matrix, [target])
+
+
 def series_matrix_is_zero(matrix):
     return all(x.is_zero() for row in matrix.rows for x in row.values())
 
@@ -70,8 +105,6 @@ def _classical_matrix(X, n, field):
 
 def _boundary_of_chain(X, chain, field):
     """Chain map of the classical boundary, as a simplex -> scalar dict."""
-    from wsh import signed_faces
-
     out = {}
     for s, c in chain.items():
         if field.is_zero(c):
@@ -185,6 +218,12 @@ def relabel_violations(X, field, rng):
 
 
 def generator_violations(X, field):
+    """Generators are weighted cycles, and pi^m times a torsion generator is a boundary.
+
+    The boundary check is one elimination per dimension for all torsion
+    generators together; only when it fails is each generator checked alone,
+    to name the failing ones.
+    """
     bad = []
     prec = choose_precision(X)
     for mod in homology_all(X, field, with_generators=True):
@@ -192,26 +231,32 @@ def generator_violations(X, field):
         if len(mod.generators) != mod.free_rank + len(mod.torsion):
             bad.append(f"n={n}: generator count mismatch")
             continue
-        exponents = [None] * mod.free_rank + list(mod.torsion)
-        lower = (
-            weighted_boundary_matrix(X, n, field, prec) if n >= 1 else None
-        )
-        upper = None
-        if n + 1 <= X.dim and X.n_simplices(n + 1):
-            upper = weighted_boundary_matrix(X, n + 1, field, prec)
-        for gen, m in zip(mod.generators, exponents):
-            vec = chain_to_series(gen, X, field, prec)
-            if lower is not None and not all(x.is_zero() for x in series_mat_vec(lower, vec)):
-                bad.append(f"n={n}: generator is not a weighted cycle")
-            if m is None:
-                continue
+        lower = weighted_boundary_matrix(X, n, field, prec) if n >= 1 else None
+        vecs = [chain_to_series(gen, X, field, prec) for gen in mod.generators]
+        if lower is not None:
+            for vec in vecs:
+                if not all(x.is_zero() for x in series_mat_vec(lower, vec)):
+                    bad.append(f"n={n}: generator is not a weighted cycle")
+        shifted = []
+        for vec, m in zip(vecs[mod.free_rank :], mod.torsion):
             pi_m = TruncatedSeries.monomial(field, prec, m)
-            shifted = [pi_m * x for x in vec]
-            if upper is None:
-                if not all(x.is_zero() for x in shifted):
-                    bad.append(f"n={n}: torsion exponent {m} with no image")
-            elif not in_column_span(upper, shifted):
-                bad.append(f"n={n}: pi^{m} generator is not in the image")
+            shifted.append((m, [x if x.is_zero() else pi_m * x for x in vec]))
+        if not shifted:
+            continue
+        if n + 1 > X.dim or not X.n_simplices(n + 1):
+            bad += [
+                f"n={n}: torsion exponent {m} with no image"
+                for m, vec in shifted
+                if not all(x.is_zero() for x in vec)
+            ]
+            continue
+        upper = weighted_boundary_matrix(X, n + 1, field, prec)
+        if all_in_column_span(upper, [vec for _m, vec in shifted]):
+            continue
+        failing = [m for m, vec in shifted if not in_column_span(upper, vec)]
+        bad += [f"n={n}: pi^{m} generator is not in the image" for m in failing] or [
+            f"n={n}: the pi^m torsion generators together are not in the image"
+        ]
     return bad
 
 

@@ -11,13 +11,11 @@ import random
 import time
 from pathlib import Path
 
-from wsh import (
-    FieldSpec,
-    build_complex,
-    homology_all,
-    homology_via_snf,
-    render_text_report,
-)
+from wsh.complexes import build_complex
+from wsh.fields import FieldSpec
+from wsh.fileio import render_text_report
+from wsh.homology import homology_all
+from wsh.oracle import homology_via_snf
 
 from .conftest import (
     GF2,

@@ -7,10 +7,10 @@ import pytest
 
 import wsh.cli
 import wsh.complexes
-from wsh import ComplexError, PrecisionExhausted
+from wsh.errors import ComplexError, PrecisionExhausted
 from wsh.cli import main
 from .conftest import glued_triangles_complex, tetra_boundary_complex
-from wsh import serialize_complex
+from wsh.fileio import serialize_complex
 
 TETRA = serialize_complex(tetra_boundary_complex())
 GLUED = serialize_complex(glued_triangles_complex())
@@ -200,13 +200,13 @@ def test_check_mismatch_exits_3(tetra_file, monkeypatch, capsys):
 
 def test_check_precision_failure_exits_3(tetra_file, monkeypatch, capsys):
     def exhausted(X, n, field):
-        raise PrecisionExhausted("image does not lie in the computed kernel")
+        raise PrecisionExhausted("elimination left a nonzero entry below the pivot")
 
     monkeypatch.setattr(wsh.cli, "homology_via_snf", exhausted)
     assert main(["--check", tetra_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "wsh: check failed at H_0: image does not lie in the computed kernel\n"
+    assert captured.err == "wsh: check failed at H_0: elimination left a nonzero entry below the pivot\n"
 
 
 def test_readme_examples_are_verbatim_output(tmp_path, monkeypatch, capsys):

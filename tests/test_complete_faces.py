@@ -8,16 +8,9 @@ import pytest
 
 import wsh.complexes
 import wsh.fileio
-from wsh import (
-    ComplexError,
-    MonotonicityViolation,
-    ParseError,
-    complete_faces,
-    from_maximal,
-    parse_complex_file,
-)
-from wsh.complexes import MAX_CLOSURE_VERTICES
-from wsh.errors import SimplexTooLarge
+from wsh.complexes import MAX_CLOSURE_VERTICES, complete_faces, from_maximal
+from wsh.errors import ComplexError, MonotonicityViolation, ParseError, SimplexTooLarge
+from wsh.fileio import parse_complex_file
 from . import reference_complexes
 
 LABELS = ("a", "b", "c", "d", "e", "f", "v10", "v2")

@@ -3,21 +3,24 @@ import random
 
 import pytest
 
-from wsh import (
-    DimensionOutOfRange,
-    DuplicateSimplex,
-    EmptyInput,
-    FieldSpec,
-    InvalidSimplex,
-    MissingFace,
-    MonotonicityViolation,
+from wsh.complexes import (
+    WeightedComplex,
+    _canonical_labels,
     boundary_exponent_matrix,
     build_complex,
     complete_faces,
     from_maximal,
     signed_faces,
 )
-from wsh.complexes import WeightedComplex, _canonical_labels
+from wsh.errors import (
+    DimensionOutOfRange,
+    DuplicateSimplex,
+    EmptyInput,
+    InvalidSimplex,
+    MissingFace,
+    MonotonicityViolation,
+)
+from wsh.fields import FieldSpec
 from .conftest import random_weighted_complex, tetra_boundary_complex, torus_grid_complex
 from .dense import Matrix
 from .reference_complexes import _closure

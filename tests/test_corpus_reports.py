@@ -19,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from wsh import FieldSpec, homology_all, render_json_report, render_text_report
+from wsh.fields import FieldSpec
+from wsh.fileio import render_json_report, render_text_report
+from wsh.homology import homology_all
 
 from .conftest import torus_grid_complex
 

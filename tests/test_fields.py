@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wsh import FieldSpec
-from wsh.fields import MAX_FIELD_ORDER, _is_prime
+from wsh.fields import MAX_FIELD_ORDER, FieldSpec, _is_prime
 
 from .dense import Matrix, rank, row_reduce
 

@@ -5,20 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wsh import (
-    EmptyInput,
-    FieldSpec,
-    MonotonicityViolation,
-    ParseError,
-    build_complex,
-    from_maximal,
-    homology_all,
+from wsh.complexes import build_complex, from_maximal
+from wsh.errors import EmptyInput, MonotonicityViolation, ParseError
+from wsh.fields import FieldSpec
+from wsh.fileio import (
     parse_complex_file,
     render_json_report,
     render_text_report,
     serialize_complex,
 )
-from wsh.homology import homology
+from wsh.homology import homology, homology_all
 from .conftest import RATIONALS as Q
 from .conftest import glued_triangles_complex, random_weighted_complex, tetra_boundary_complex
 from .reference_report import render_json_report_reference

@@ -2,23 +2,16 @@ import inspect
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import wsh
-from wsh import (
-    DimensionOutOfRange,
-    MismatchedDimensions,
-    ZeroChain,
-    build_complex,
-    cycle_basis,
-    from_maximal,
-    homology_all,
-    lift_cycle,
-)
-from wsh.homology import homology
+from wsh.complexes import build_complex, from_maximal
+from wsh.errors import DimensionOutOfRange, MismatchedDimensions, ZeroChain
+from wsh.homology import cycle_basis, homology, homology_all, lift_cycle
 from .conftest import RATIONALS as Q
 from .conftest import GF2
 
@@ -201,6 +194,25 @@ def test_wsh_homology_is_the_module():
     assert wsh.homology.homology_all is wsh.homology_all
 
 
+def test_package_exports_what_the_readme_names():
+    # every python block of the README runs, and the package exports
+    # exactly the names its Library section gives
+    readme = (DATA.parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert sorted(wsh.__all__) == [
+        "FieldSpec",
+        "build_complex",
+        "cycle_basis",
+        "homology_all",
+        "parse_complex_file",
+    ]
+    for name in wsh.__all__:
+        assert re.search(rf"\b{name}\b", readme), name
+
+
 def test_homology_out_of_range(hollow_triangle):
     with pytest.raises(DimensionOutOfRange):
         homology(hollow_triangle, -1, Q)
@@ -210,7 +222,8 @@ def test_negative_pair_exponent_raises_under_optimize():
     # the complex skips validation: its edge is heavier than both vertices.
     # The check must survive python -O, which strips asserts
     code = (
-        "from wsh import ComplexError, FieldSpec, homology_all\n"
+        "from wsh import FieldSpec, homology_all\n"
+        "from wsh.errors import ComplexError\n"
         "from wsh.complexes import WeightedComplex\n"
         "X = WeightedComplex({('a',): 1, ('b',): 1, ('a', 'b'): 5})\n"
         "try:\n"

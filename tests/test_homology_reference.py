@@ -12,16 +12,10 @@ import random
 
 import pytest
 
-from wsh import (
-    FieldSpec,
-    build_complex,
-    cycle_basis,
-    homology_all,
-    parse_complex_file,
-    render_json_report,
-    render_text_report,
-)
-from wsh.homology import homology
+from wsh.complexes import build_complex
+from wsh.fields import FieldSpec
+from wsh.fileio import parse_complex_file, render_json_report, render_text_report
+from wsh.homology import cycle_basis, homology, homology_all
 
 from . import reference_homology as ref
 from .conftest import CORPUS_FIELDS, random_weighted_complex, torus_grid_complex

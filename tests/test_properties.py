@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from wsh import homology_all, homology_via_snf, parse_complex_file
+from wsh.fileio import parse_complex_file
+from wsh.homology import homology_all
+from wsh.oracle import homology_via_snf
+from . import invariants
 from .conftest import GF2, RATIONALS, torus_grid_complex
 from .invariants import (
     boundary_squared_violations,
@@ -86,11 +89,39 @@ def test_engine_matches_oracle_at_real_sizes(field):
         assert bool(fast[0][1] and fast[1][1]) == torsion
 
 
+@pytest.mark.parametrize("field", [RATIONALS, GF2], ids=lambda f: f.name)
+def test_generator_validity_at_real_sizes(field):
+    # every generator of every dimension; the torsion ones are checked
+    # against the image in one elimination per dimension
+    for k in (10, 18):
+        X = torus_grid_complex(k, random.Random(k))
+        assert any(m.torsion for m in homology_all(X, field))
+        assert generator_violations(X, field) == []
+
+
+def test_generator_check_names_a_lowered_exponent(monkeypatch):
+    # one torsion exponent lowered by one fails the batched check of H_1,
+    # and the check of each generator alone then names that one
+    X = torus_grid_complex(6, random.Random(6))
+    honest = invariants.homology_all
+    m = honest(X, GF2)[1].torsion[-1]
+
+    def lowered(*args, **kwargs):
+        mods = honest(*args, **kwargs)
+        mods[1].torsion[-1] -= 1
+        return mods
+
+    monkeypatch.setattr(invariants, "homology_all", lowered)
+    assert invariants.generator_violations(X, GF2) == [
+        f"n=1: pi^{m - 1} generator is not in the image"
+    ]
+
+
 def test_free_rank_equals_betti_number(corpus):
     # with all weights equal the module is torsion free and the free rank
     # is the classical Betti number; check via the weight-shift trick of
     # flattening every weight to zero
-    from wsh import build_complex
+    from wsh.complexes import build_complex
 
     bad = []
     for X, field in corpus[:100]:
