@@ -95,10 +95,17 @@ def main(argv=None) -> int:
         return USAGE_ERROR
 
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.file, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         print(f"wsh: error: cannot read {args.file}: {e.strerror}", file=sys.stderr)
+        return INPUT_ERROR
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # numbered as parse_complex_file numbers lines; "?" stands for the bad byte
+        line = len((data[: e.start].decode("utf-8") + "?").splitlines())
+        print(f"wsh: error: {args.file}: line {line}: not UTF-8 text", file=sys.stderr)
         return INPUT_ERROR
 
     try:
@@ -119,9 +126,10 @@ def main(argv=None) -> int:
 
     if args.check:
         mismatches = []
+        known = {}  # the Smith forms of this X and field, shared across dimensions
         for mod in modules:
             try:
-                free, torsion = homology_via_snf(X, mod.n, field)
+                free, torsion = homology_via_snf(X, mod.n, field, known)
             except PrecisionExhausted as e:
                 print(f"wsh: check failed at H_{mod.n}: {e}", file=sys.stderr)
                 return CHECK_MISMATCH

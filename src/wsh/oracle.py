@@ -419,19 +419,28 @@ def snf_valuations(matrix: SeriesMatrix):
     return _eliminate(a, matrix.nrows, matrix.ncols)
 
 
-def homology_via_snf(X: WeightedComplex, n: int, field: FieldSpec):
+def homology_via_snf(X: WeightedComplex, n: int, field: FieldSpec, known=None):
     """(free rank, ascending torsion exponents) of H_n, by brute force.
 
     Invariant factors of d_n and d_(n+1) over the series ring, read as in
     the module notes: the free rank is m - rank d_n - rank d_(n+1), and the
     torsion is the nonunit invariant factors of d_(n+1).
+
+    known, if given, is a dict owned by the caller that maps k to the
+    snf_valuations of d_k for this one X and field; it is read first and
+    gains every d_k eliminated here. A caller walking n = 0, 1, ... with
+    one such dict eliminates each boundary map once, not twice.
     """
     if n < 0:
         raise DimensionOutOfRange(n)
     m = len(X.n_simplices(n))
     if m == 0:
         return 0, []
+    known = {} if known is None else known
     N = choose_precision(X)
-    r = len(snf_valuations(weighted_boundary_matrix(X, n, field, N))) if n >= 1 else 0
-    vals = snf_valuations(weighted_boundary_matrix(X, n + 1, field, N)) if n < X.dim else []
+    for k in (n, n + 1):
+        if 1 <= k <= X.dim and k not in known:
+            known[k] = snf_valuations(weighted_boundary_matrix(X, k, field, N))
+    r = len(known[n]) if n >= 1 else 0
+    vals = known[n + 1] if n < X.dim else []
     return m - r - len(vals), [v for v in vals if v >= 1]

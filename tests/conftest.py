@@ -150,6 +150,12 @@ def random_weighted_complex(rng, max_vertices=7, max_dim=3, max_weight=5, max_si
     return build_complex(weights.items())
 
 
+def simplex_boundary_maximal(d):
+    """The boundary of the d-simplex as a `!maximal 0` file: its d + 1 facets."""
+    facets = itertools.combinations([f"v{i}" for i in range(d + 1)], d)
+    return "!maximal 0\n" + "".join(" ".join(f) + "\n" for f in facets)
+
+
 def torus_grid_complex(k, rng):
     """k x k triangulated torus (k >= 3) with random monotone weights.
 

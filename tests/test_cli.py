@@ -1,15 +1,27 @@
+import contextlib
+import io
 import json
+import random
 import re
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsh.cli
 import wsh.complexes
+import wsh.oracle
 from wsh.errors import ComplexError, PrecisionExhausted
 from wsh.cli import main
-from .conftest import glued_triangles_complex, tetra_boundary_complex
+from .conftest import (
+    glued_triangles_complex,
+    random_weighted_complex,
+    simplex_boundary_maximal,
+    tetra_boundary_complex,
+    torus_grid_complex,
+)
 from wsh.fileio import serialize_complex
 
 TETRA = serialize_complex(tetra_boundary_complex())
@@ -96,6 +108,59 @@ def test_check_flag_passes(tetra_file, capsys):
     assert main(["--check", tetra_file]) == 0
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        TETRA,
+        serialize_complex(torus_grid_complex(4, random.Random(4))),
+        simplex_boundary_maximal(5),
+    ],
+    ids=["tetra", "torus4", "sphere4"],
+)
+def test_check_builds_and_eliminates_each_boundary_once(text, tmp_path, monkeypatch, capsys):
+    built, eliminated = [], []
+    build, eliminate = wsh.oracle.weighted_boundary_matrix, wsh.oracle.snf_valuations
+
+    def counted_build(X, k, *args):
+        matrix = build(X, k, *args)
+        built.append((k, matrix))
+        return matrix
+
+    def counted_eliminate(matrix):
+        eliminated.append(next(k for k, m in built if m is matrix))
+        return eliminate(matrix)
+
+    monkeypatch.setattr(wsh.oracle, "weighted_boundary_matrix", counted_build)
+    monkeypatch.setattr(wsh.oracle, "snf_valuations", counted_eliminate)
+    p = tmp_path / "complex.cplx"
+    p.write_text(text)
+    assert main([str(p)]) == 0
+    report = capsys.readouterr().out
+    assert built == [] and eliminated == []
+    assert main(["--check", str(p)]) == 0
+    assert capsys.readouterr().out == report
+    dim = len(report.splitlines()) - 2  # a field line, then H_0 to H_dim
+    assert [k for k, _m in built] == list(range(1, dim + 1))
+    assert eliminated == list(range(1, dim + 1))
+
+
+def test_check_failure_names_the_first_module_that_needs_the_map(tetra_file, monkeypatch, capsys):
+    # the calls for H_1 and H_2 both need d_2; H_1 asks first
+    build = wsh.oracle.weighted_boundary_matrix
+
+    def exhausted_at_2(X, k, *args):
+        if k == 2:
+            raise PrecisionExhausted("exponent 9 needs precision > 9, have 9")
+        return build(X, k, *args)
+
+    monkeypatch.setattr(wsh.oracle, "weighted_boundary_matrix", exhausted_at_2)
+    assert main(["--check", tetra_file]) == 3
+    why = "exponent 9 needs precision > 9, have 9"
+    assert capsys.readouterr().err == f"wsh: check failed at H_1: {why}\n"
+    assert main(["--check", "--dim", "2", tetra_file]) == 3
+    assert capsys.readouterr().err == f"wsh: check failed at H_2: {why}\n"
+
+
 def test_complete_faces_flag(tmp_path, capsys):
     p = tmp_path / "partial.cplx"
     p.write_text("a b ; 5\na b c ; 1\n")
@@ -131,6 +196,18 @@ def test_input_errors_exit_2(tmp_path, capsys):
     underscored.write_text("a ; 1_0\n")
     assert main([str(underscored)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    p = tmp_path / "latin1.cplx"
+    p.write_bytes(b"a ; 1\r\nb ; 1\n# caf\xe9\na b ; 0\n")
+    assert main([str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"wsh: error: {p}: line 3: not UTF-8 text\n"
+    p.write_bytes(b"\xff")
+    assert main(["--check", str(p)]) == 2
+    assert capsys.readouterr().err == f"wsh: error: {p}: line 1: not UTF-8 text\n"
 
 
 def test_unwritable_json_path_exits_2(glued_file, tmp_path, capsys):
@@ -188,7 +265,7 @@ def test_fast_path_consistency_errors_exit_3(tetra_file, monkeypatch, capsys):
 
 
 def test_check_mismatch_exits_3(tetra_file, monkeypatch, capsys):
-    monkeypatch.setattr(wsh.cli, "homology_via_snf", lambda X, n, field: (n, [7]))
+    monkeypatch.setattr(wsh.cli, "homology_via_snf", lambda X, n, field, known=None: (n, [7]))
     assert main(["--check", "--dim", "1", tetra_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -199,7 +276,7 @@ def test_check_mismatch_exits_3(tetra_file, monkeypatch, capsys):
 
 
 def test_check_precision_failure_exits_3(tetra_file, monkeypatch, capsys):
-    def exhausted(X, n, field):
+    def exhausted(X, n, field, known=None):
         raise PrecisionExhausted("elimination left a nonzero entry below the pivot")
 
     monkeypatch.setattr(wsh.cli, "homology_via_snf", exhausted)
@@ -223,3 +300,64 @@ def test_readme_examples_are_verbatim_output(tmp_path, monkeypatch, capsys):
         command, expected = block.split("\n", 1)
         assert main(shlex.split(command)[2:]) == 0, command
         assert capsys.readouterr().out == expected, command
+
+
+# small valid files; records stay short, so a few spliced tokens cannot make
+# a record whose closure is large
+_FUZZ_BASES = [TETRA, GLUED, "!maximal 0\na b c\nb c d\n", "!maximal 2\nx y\ny z\nz x\n"] + [
+    serialize_complex(random_weighted_complex(random.Random(s), max_vertices=5, max_simplices=12))
+    for s in range(4)
+]
+# separators, bad weights and labels, directives, comments, control
+# characters, a line separator and bytes that are not UTF-8
+_FUZZ_JUNK = [
+    b"", b";", b" ; ", b"\n", b"\r", b"\t", b"\x00", b"#", b"a", b"a a", b"-1", b"+3",
+    b"1_0", b"\xd9\xa3", b"99999999999999999999", b"!maximal", b"!maximal 0",
+    b"!maximal x", b"\xe2\x80\xa8", b"\xff", b"\xc3",
+]
+_FLAG_SETS = [
+    [],
+    ["--field", "gf:2", "--generators"],
+    ["--json", "-", "--generators"],
+    ["--complete-faces"],
+    ["--dim", "1", "--json", "-"],
+    ["--check"],
+    ["--check", "--field", "gf:3", "--complete-faces"],
+    ["--check", "--dim", "1"],
+    ["--check", "--dim", "4", "--generators", "--json", "-"],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.sampled_from(_FUZZ_BASES),
+    edits=st.lists(
+        st.tuples(st.integers(min_value=0), st.sampled_from(_FUZZ_JUNK), st.booleans()),
+        max_size=3,
+    ),
+)
+def test_cli_exits_cleanly_on_spliced_files(base, edits, tmp_path_factory):
+    # each edit replaces or inserts one junk token among the file's tokens
+    tokens = re.split(rb"( |\n)", base.encode("utf-8"))
+    for at, junk, replace in edits:
+        at %= len(tokens) + 1
+        if replace and at < len(tokens):
+            tokens[at] = junk
+        else:
+            tokens.insert(at, junk)
+    path = tmp_path_factory.getbasetemp() / "spliced.cplx"
+    path.write_bytes(b"".join(tokens))
+    for flags in _FLAG_SETS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(flags + [str(path)])
+        assert code in (0, 1, 2, 3), flags
+        if code == 0:
+            assert err.getvalue() == "", flags
+        else:
+            said = [
+                line
+                for line in err.getvalue().splitlines()
+                if line.startswith(("wsh: error: ", "wsh: check "))
+            ]
+            assert len(said) == 1, (flags, err.getvalue())
