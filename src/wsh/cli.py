@@ -12,7 +12,7 @@ import sys
 
 from .errors import ComplexError, ParseError, PrecisionExhausted
 from .fields import FieldSpec
-from .fileio import parse_complex_file, render_json_report, render_text_report
+from .fileio import parse_complex_file, render_json_report, render_text_report, split_lines
 from .homology import homology, homology_all
 from .oracle import homology_via_snf
 
@@ -104,7 +104,7 @@ def main(argv=None) -> int:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         # numbered as parse_complex_file numbers lines; "?" stands for the bad byte
-        line = len((data[: e.start].decode("utf-8") + "?").splitlines())
+        line = len(split_lines(data[: e.start].decode("utf-8") + "?"))
         print(f"wsh: error: {args.file}: line {line}: not UTF-8 text", file=sys.stderr)
         return INPUT_ERROR
 

@@ -74,8 +74,8 @@ class PrecisionExhausted(ArithmeticError):
     """A truncated-series computation needs exponents at or beyond the precision.
 
     Raised when an input exponent cannot be represented at the chosen
-    precision, or when an internal consistency check shows the precision was
-    too small for the requested computation.
+    precision, when an oracle entry would need two terms, or when an
+    internal consistency check shows the precision was too small.
     """
 
 

@@ -32,7 +32,14 @@ __all__ = [
     "serialize_complex",
     "render_text_report",
     "render_json_report",
+    "split_lines",
 ]
+
+
+def split_lines(text: str) -> list:
+    """Lines as `wc -l` counts them: str.splitlines also breaks at \\v, \\f,
+    \\x1c-\\x1e, U+0085, U+2028 and U+2029; this breaks at \\r\\n, \\r, \\n only."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _decorate(err, line_of):
@@ -64,7 +71,7 @@ def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
     With complete=True, faces missing from the file are filled in with the
     maximum weight among their listed cofaces instead of being an error.
     """
-    lines = text.splitlines()
+    lines = split_lines(text)
     records = []
     line_of = {}
     for lineno, raw in enumerate(lines, start=1):

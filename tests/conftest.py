@@ -14,6 +14,8 @@ CORPUS_FIELDS = (
     FieldSpec.prime_field(3),
     FieldSpec.prime_field(5),
 )
+# str.splitlines breaks lines at these too; editors and `wc -l` do not
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def tetra_boundary_complex():

@@ -11,7 +11,6 @@ from wsh.errors import PrecisionExhausted
 from wsh.homology import cycle_basis, homology_all
 from wsh.oracle import (
     SeriesMatrix,
-    TruncatedSeries,
     choose_precision,
     snf_valuations,
     weighted_boundary_matrix,
@@ -20,54 +19,50 @@ from wsh.oracle import (
 from .dense import Matrix, rank
 
 
-def series_identity(field, precision, n):
-    one = TruncatedSeries.monomial(field, precision, 0)
-    return SeriesMatrix(field, precision, [{i: one} for i in range(n)], n)
+def weighted_product_is_zero(left, right_rows):
+    """Whether left * right is zero over R/pi^N.
 
-
-def series_mat_vec(matrix, vec):
-    """matrix * vec over the truncated series ring, vec a list of series."""
-    if len(vec) != matrix.ncols:
-        raise ValueError("vector length does not match column count")
-    out = []
-    for row in matrix.rows:
-        acc = TruncatedSeries.zero(matrix.field, matrix.precision)
-        for j, a in row.items():
-            if not vec[j].is_zero():
-                acc = acc + a * vec[j]
-        out.append(acc)
-    return out
-
-
-def series_mat_mul(left, right):
-    """left * right over the truncated series ring."""
-    if left.ncols != right.nrows:
-        raise ValueError("inner dimensions do not match")
-    rows = []
-    for row in left.rows:
-        out = {}
-        for j, a in row.items():
-            for k, b in right.rows[j].items():
-                out[k] = out[k] + a * b if k in out else a * b
-        rows.append(out)
-    return SeriesMatrix(left.field, left.precision, rows, right.ncols)
+    right_rows[j] is {column: (exponent, scalar)}, as in SeriesMatrix.rows.
+    Products of pi-monomials summed along a row need not share an exponent,
+    so the sums are kept per (row, column, exponent).
+    """
+    F, N = left.field, left.precision
+    acc = {}
+    for i, row in enumerate(left.rows):
+        for j, (e1, c1) in row.items():
+            for k, (e2, c2) in right_rows[j].items():
+                e = e1 + e2
+                if e < N:
+                    key = (i, k, e)
+                    acc[key] = F.add(acc.get(key, F.zero()), F.mul(c1, c2))
+    return all(F.is_zero(c) for c in acc.values())
 
 
 def chain_to_series(chain, X, field, precision):
-    """Coordinate vector of a WeightedChain over the n-simplex basis."""
-    basis = X.n_simplices(chain.n)
-    pos = {s: i for i, s in enumerate(basis)}
-    out = [TruncatedSeries.zero(field, precision) for _ in basis]
+    """Coordinates of a WeightedChain over the n-simplex basis, {index: (e, c)}.
+
+    Every coordinate must be one pi-monomial, as lift_cycle makes them.
+    """
+    pos = {s: i for i, s in enumerate(X.n_simplices(chain.n))}
+    out = {}
     for s, terms in chain.terms.items():
-        out[pos[tuple(s)]] = TruncatedSeries(field, precision, dict(terms))
-        for e, _c in terms:
-            if e >= precision:
-                raise PrecisionExhausted(f"exponent {e} at precision {precision}")
+        if len(terms) != 1:
+            raise ValueError(f"coordinate of {s} has {len(terms)} terms, not one")
+        [(e, c)] = terms
+        if e >= precision:
+            raise PrecisionExhausted(f"exponent {e} at precision {precision}")
+        if not field.is_zero(c):
+            out[pos[tuple(s)]] = (e, c)
     return out
 
 
+def times_pi(vec, m, precision):
+    """pi^m * vec over R/pi^N: every exponent shifts by m, and those reaching N drop."""
+    return {i: (e + m, c) for i, (e, c) in vec.items() if e + m < precision}
+
+
 def all_in_column_span(matrix, targets):
-    """Whether every target vector lies in the column span over R/pi^N.
+    """Whether every target vector, {row: (e, c)}, lies in the column span over R/pi^N.
 
     im A lies in im [A | T], and the quotient of (R/pi^N)^m by each image
     has the finite length its invariant factors fix. So the images are equal,
@@ -76,11 +71,10 @@ def all_in_column_span(matrix, targets):
     """
     rows = [dict(row) for row in matrix.rows]
     for t, vec in enumerate(targets):
-        if len(vec) != matrix.nrows:
-            raise ValueError("target length does not match row count")
-        for i, x in enumerate(vec):
-            if not x.is_zero():
-                rows[i][matrix.ncols + t] = x
+        for i, x in vec.items():
+            if not 0 <= i < matrix.nrows:
+                raise ValueError(f"target row {i} outside {matrix.nrows} rows")
+            rows[i][matrix.ncols + t] = x
     augmented = SeriesMatrix(matrix.field, matrix.precision, rows, matrix.ncols + len(targets))
     return snf_valuations(augmented) == snf_valuations(matrix)
 
@@ -88,10 +82,6 @@ def all_in_column_span(matrix, targets):
 def in_column_span(matrix, target):
     """Whether the target vector lies in the column span over R/pi^N."""
     return all_in_column_span(matrix, [target])
-
-
-def series_matrix_is_zero(matrix):
-    return all(x.is_zero() for row in matrix.rows for x in row.values())
 
 
 def _classical_matrix(X, n, field):
@@ -184,7 +174,7 @@ def boundary_squared_violations(X, field):
                 break
         wl = weighted_boundary_matrix(X, n - 1, field, prec)
         wu = weighted_boundary_matrix(X, n, field, prec)
-        if not series_matrix_is_zero(series_mat_mul(wl, wu)):
+        if not weighted_product_is_zero(wl, wu.rows):
             bad.append(f"n={n}: weighted boundary squared is nonzero")
     return bad
 
@@ -235,20 +225,17 @@ def generator_violations(X, field):
         vecs = [chain_to_series(gen, X, field, prec) for gen in mod.generators]
         if lower is not None:
             for vec in vecs:
-                if not all(x.is_zero() for x in series_mat_vec(lower, vec)):
+                # vec as a one-column matrix
+                column = [{0: vec[j]} if j in vec else {} for j in range(lower.ncols)]
+                if not weighted_product_is_zero(lower, column):
                     bad.append(f"n={n}: generator is not a weighted cycle")
-        shifted = []
-        for vec, m in zip(vecs[mod.free_rank :], mod.torsion):
-            pi_m = TruncatedSeries.monomial(field, prec, m)
-            shifted.append((m, [x if x.is_zero() else pi_m * x for x in vec]))
+        shifted = [
+            (m, times_pi(vec, m, prec)) for vec, m in zip(vecs[mod.free_rank :], mod.torsion)
+        ]
         if not shifted:
             continue
         if n + 1 > X.dim or not X.n_simplices(n + 1):
-            bad += [
-                f"n={n}: torsion exponent {m} with no image"
-                for m, vec in shifted
-                if not all(x.is_zero() for x in vec)
-            ]
+            bad += [f"n={n}: torsion exponent {m} with no image" for m, vec in shifted if vec]
             continue
         upper = weighted_boundary_matrix(X, n + 1, field, prec)
         if all_in_column_span(upper, [vec for _m, vec in shifted]):

@@ -16,6 +16,7 @@ import wsh.oracle
 from wsh.errors import ComplexError, PrecisionExhausted
 from wsh.cli import main
 from .conftest import (
+    NOT_LINE_BREAKS,
     glued_triangles_complex,
     random_weighted_complex,
     simplex_boundary_maximal,
@@ -208,6 +209,39 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     p.write_bytes(b"\xff")
     assert main(["--check", str(p)]) == 2
     assert capsys.readouterr().err == f"wsh: error: {p}: line 1: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_BREAKS, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_line_numbers_count_only_cr_and_lf(ch, tmp_path, capsys):
+    p = tmp_path / "joined.cplx"
+    p.write_bytes(f"a ; 1{ch}b ; 1\n".encode())
+    assert main([str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"wsh: error: {p}: line 1: expected 'v1 v2 ... ; weight'\n"
+    # the bad byte is on the third line to `wc -l`
+    data = f"a ; 1\n# x{ch}y\n".encode() + b"\xff ; 1\n"
+    p.write_bytes(data)
+    lines = data.count(b"\n")
+    assert main([str(p)]) == 2
+    assert capsys.readouterr().err == f"wsh: error: {p}: line {lines}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\r"])
+def test_cr_and_crlf_files_report_as_lf(eol, tmp_path, capsys):
+    p = tmp_path / "tetra.cplx"
+    p.write_text(TETRA, newline="")
+    assert main(["--generators", str(p)]) == 0
+    expected = capsys.readouterr().out
+    p.write_text(TETRA.replace("\n", eol), newline="")
+    assert main(["--generators", str(p)]) == 0
+    assert capsys.readouterr().out == expected
+    p.write_text(f"a ; 1{eol}{eol}b ; x{eol}", newline="")
+    assert main([str(p)]) == 2
+    assert capsys.readouterr().err.startswith(f"wsh: error: {p}: line 3: bad weight")
+    p.write_bytes(f"a ; 1{eol}# caf".encode() + b"\xe9" + eol.encode())
+    assert main([str(p)]) == 2
+    assert capsys.readouterr().err == f"wsh: error: {p}: line 2: not UTF-8 text\n"
 
 
 def test_unwritable_json_path_exits_2(glued_file, tmp_path, capsys):

@@ -15,7 +15,7 @@ from wsh.fileio import (
     serialize_complex,
 )
 from wsh.homology import homology, homology_all
-from .conftest import RATIONALS as Q
+from .conftest import NOT_LINE_BREAKS, RATIONALS as Q
 from .conftest import glued_triangles_complex, random_weighted_complex, tetra_boundary_complex
 from .reference_report import render_json_report_reference
 
@@ -85,6 +85,18 @@ def test_parse_error_cases():
         parse_complex_file("!maximal 1\na b ; 2\n")
     with pytest.raises(EmptyInput):
         parse_complex_file("# nothing here\n\n")
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_BREAKS, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_only_cr_and_lf_break_lines(ch):
+    # two records joined by ch are one bad record, not two good ones
+    with pytest.raises(ParseError, match=r"^line 1: expected 'v1 v2 \.\.\. ; weight'$"):
+        parse_complex_file(f"a ; 1{ch}b ; 1\n")
+    # error lines count as `wc -l` counts: a comment holding ch is one line
+    for text in (f"# x{ch}y\na ; 1\nb ; x\n", f"!maximal 0\n# x{ch}y\na b ; 1\n"):
+        with pytest.raises(ParseError) as err:
+            parse_complex_file(text)
+        assert err.value.line == text.count("\n") == 3
 
 
 def test_parse_duplicate_record_line():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,9 +11,9 @@ from wsh.fields import FieldSpec
 from wsh.homology import lift_cycle
 from wsh.oracle import (
     SeriesMatrix,
-    TruncatedSeries,
     _add_multiple,
     _eliminate,
+    _row_least,
     choose_precision,
     homology_via_snf,
     snf_valuations,
@@ -26,160 +27,124 @@ from .conftest import (
     tetra_boundary_complex,
     torus_grid_complex,
 )
-from .invariants import (
-    chain_to_series,
-    in_column_span,
-    series_identity,
-    series_mat_mul,
-    series_matrix_is_zero,
-)
+from .invariants import chain_to_series, in_column_span, times_pi, weighted_product_is_zero
 
 N = 8
 
 
-def mono(exp, coeff=1, field=Q, prec=N):
-    return TruncatedSeries.monomial(field, prec, exp, field.from_int(coeff))
-
-
-def zero(field=Q, prec=N):
-    return TruncatedSeries.zero(field, prec)
-
-
-def test_series_construction_and_valuation():
-    s = TruncatedSeries(Q, 3, {0: Q.zero(), 1: Q.one(), 2: Q.from_int(2)})
-    assert s.precision == 3
-    assert s.valuation() == 1
-    assert s.coeffs == {1: Q.one(), 2: Q.from_int(2)}
-    assert zero().valuation() is None
-    assert zero().is_zero()
-
-
-def test_series_addition_cancels():
-    s = mono(2) + mono(2, -1)
-    assert s.is_zero()
-    t = mono(1) + mono(3)
-    assert t.coeffs == {1: Q.one(), 3: Q.one()}
-    assert (t - t).is_zero()
-
-
-def test_series_multiplication_truncates():
-    s = mono(3) * mono(6)
-    assert s.is_zero()
-    t = (mono(0) + mono(1)) * (mono(0) + mono(1, -1))
-    assert t.coeffs == {0: Q.one(), 2: Q.neg(Q.one())}
-
-
-def test_series_division_exact():
-    num = mono(2) + mono(4)
-    q = num.divide_exact(mono(2))
-    assert q.coeffs == {0: Q.one(), 2: Q.one()}
-    # quotient is only known below precision - divisor valuation
-    assert (q * mono(2)).coeffs == num.coeffs
-
-
-def test_series_division_by_unit_geometric():
-    one_minus_pi = mono(0) + mono(1, -1)
-    inv = mono(0).divide_exact(one_minus_pi)
-    assert inv.coeffs == {e: Q.one() for e in range(N)}
-    assert (inv * one_minus_pi).coeffs == {0: Q.one()}
-
-
-def test_series_division_guards():
-    with pytest.raises(ZeroDivisionError):
-        mono(1).divide_exact(zero())
-    # a non-unit divides only dividends of at least its valuation
-    for divisor in (mono(1), mono(1) + mono(2)):
-        with pytest.raises(ValueError, match="dividend valuation below divisor valuation"):
-            mono(0).divide_exact(divisor)
+def mono(exp, coeff=1):
+    """The oracle entry coeff * pi^exp over Q."""
+    return (exp, Q.from_int(coeff))
 
 
 _FIELDS = (Q, GF2, FieldSpec.prime_field(5))
 
 
-@st.composite
-def _series_dicts(draw, count):
-    """A field, a precision and `count` coefficient dicts.
-
-    Each dict is empty, one term or several terms; one exponent in two is
-    the top one, N - 1, where products and shifts fall off the precision.
-    """
-    field = draw(st.sampled_from(_FIELDS))
-    prec = draw(st.integers(1, 9))
-    exponent = st.one_of(st.integers(0, prec - 1), st.just(prec - 1))
-    if field.p is None:
-        coeff = st.builds(
-            lambda a, b: field.div(field.from_int(a), field.from_int(b)),
-            st.integers(-3, 3).filter(bool),
-            st.integers(1, 4),
-        )
-    else:
-        coeff = st.integers(1, field.p - 1)
-    one_term = st.builds(lambda e, c: {e: c}, exponent, coeff)
-    terms = st.dictionaries(exponent, coeff, min_size=min(2, prec), max_size=4)
-    series = st.one_of(one_term, terms, st.just({}))
-    return field, prec, [draw(series) for _ in range(count)]
+def _units(field):
+    return [u for u in range(-6, 7) if not field.is_zero(field.from_int(u))]
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args).coeffs
-    except (ArithmeticError, ValueError) as e:
-        return (type(e).__name__, str(e))
+def _to_reference(rows, ncols, field, prec):
+    """Dense reference rows of general series from sparse rows of pairs."""
+    return [
+        [ref.TruncatedSeries(field, prec, dict([row[j]]) if j in row else None) for j in range(ncols)]
+        for row in rows
+    ]
 
 
-@given(_series_dicts(2))
-def test_series_kernels_match_generic_arithmetic(drawn):
-    # tests/reference_oracle.py has the generic convolution and long division
-    field, prec, (a, b) = drawn
-    x, y = TruncatedSeries(field, prec, a), TruncatedSeries(field, prec, b)
-    rx, ry = ref.TruncatedSeries(field, prec, a), ref.TruncatedSeries(field, prec, b)
-    assert (x * y).coeffs == (rx * ry).coeffs
-    assert (y * x).coeffs == (ry * rx).coeffs
-    assert _outcome(x.divide_exact, y) == _outcome(rx.divide_exact, ry)
+def _from_reference(m):
+    """A SeriesMatrix from a reference matrix whose entries have one term each."""
+    rows = []
+    for row in m.rows:
+        rows.append({})
+        for j, x in enumerate(row):
+            if x.coeffs:
+                [pair] = x.coeffs.items()
+                rows[-1][j] = pair
+    return SeriesMatrix(m.field, m.precision, rows, m.ncols)
 
 
-@given(_series_dicts(7))
-def test_add_multiple_matches_generic_arithmetic(drawn):
-    # vec holds keys 0..2 and src keys 1..3, less the empty draws
-    field, prec, dicts = drawn
-    f = TruncatedSeries(field, prec, dicts[0])
-    vec = {k: TruncatedSeries(field, prec, d) for k, d in zip((0, 1, 2), dicts[1:4]) if d}
-    src = {k: TruncatedSeries(field, prec, d) for k, d in zip((1, 2, 3), dicts[4:]) if d}
-    rf = ref.TruncatedSeries(field, prec, dicts[0])
-    expected = {k: ref.TruncatedSeries(field, prec, x.coeffs) for k, x in vec.items()}
-    for k, y in src.items():
-        ry = ref.TruncatedSeries(field, prec, y.coeffs)
-        expected[k] = expected.get(k, ref.TruncatedSeries(field, prec)) - rf * ry
-    _add_multiple(vec, f, src)
-    assert {k: x.coeffs for k, x in vec.items()} == {
-        k: x.coeffs for k, x in expected.items() if x.coeffs
-    }
+def test_series_construction_and_valuation():
+    # a zero scalar and an exponent at or beyond the precision are both zero
+    # in R/pi^N; the valuation of a row is its least exponent, first column first
+    m = SeriesMatrix(Q, 3, [{0: mono(0, 0), 1: mono(2, 2), 2: mono(1)}, {0: mono(3)}], 3)
+    assert m.rows == [{1: mono(2, 2), 2: mono(1)}, {}]
+    assert _row_least(m.rows[0]) == (1, 2)
+    assert _row_least({3: mono(1), 0: mono(1, 5), 2: mono(0, 2)}) == (0, 2)
+    assert _row_least({3: mono(1), 0: mono(1, 5)}) == (1, 0)
+    assert _row_least({}) == (math.inf, 0)
+    with pytest.raises(ValueError, match="negative exponent"):
+        SeriesMatrix(Q, 3, [{0: mono(-1)}], 1)
 
 
-@pytest.mark.parametrize(
-    "a, b",
-    [(mono(1, prec=4), mono(1, prec=5)), (mono(1, field=GF2), mono(1, field=FieldSpec(3)))],
-    ids=["precisions", "fields"],
-)
-def test_mixed_series_contexts_are_rejected(a, b):
-    for op in (
-        lambda: a + b,
-        lambda: a * b,
-        lambda: a.divide_exact(b),
-        lambda: _add_multiple({}, a, {0: b}),
-        lambda: _add_multiple({0: b}, a, {0: a}),
-    ):
-        with pytest.raises(MismatchedDimensions, match="series contexts differ"):
-            op()
+def test_series_addition_cancels():
+    # vec += g * pi^shift * src: an entry that sums to zero leaves the row
+    vec = {0: mono(2), 1: mono(3, 5)}
+    _add_multiple(vec, 1, Q.from_int(-1), {0: mono(1), 1: mono(2, 2), 2: mono(0, 3)}, Q, N)
+    assert vec == {1: mono(3, 3), 2: mono(1, -3)}
+
+
+def test_series_multiplication_truncates():
+    # a product at or beyond the precision is zero in R/pi^N: nothing is added
+    vec = {1: mono(3)}
+    _add_multiple(vec, 2, Q.one(), {0: mono(2), 1: mono(1), 2: mono(0)}, Q, 4)
+    assert vec == {1: mono(3, 2), 2: mono(2)}
 
 
 def test_monomial_beyond_precision():
-    with pytest.raises(PrecisionExhausted):
-        TruncatedSeries.monomial(Q, 4, 4)
-    with pytest.raises(PrecisionExhausted):
-        TruncatedSeries.monomial(Q, 1, 3)
-    # a zero coefficient stores nothing, any exponent is fine
-    assert TruncatedSeries.monomial(Q, 2, 5, Q.zero()).is_zero()
+    # the boundary map refuses an entry pi^e with e >= N rather than drop it;
+    # d_1 of the tetrahedron has entries pi^1 and pi^3
+    X = tetra_boundary_complex()
+    with pytest.raises(PrecisionExhausted, match=r"^exponent 3 needs precision > 3, have 3$"):
+        weighted_boundary_matrix(X, 1, Q, precision=3)
+    A = weighted_boundary_matrix(X, 1, Q, precision=4)
+    assert {e for row in A.rows for e, _c in row.values()} == {1, 3}
+
+
+@st.composite
+def _row_operations(draw):
+    """A field, a precision and the operands of one weight-shaped row operation.
+
+    vec is row i and src row r of a matrix with row weights a_i >= a_r and
+    column weights b_k <= a_r, entry (i, k) c*pi^(a_i - b_k); the shift is
+    a_i - a_r. Entries at or beyond the precision are zero and left out.
+    """
+    field = draw(st.sampled_from(_FIELDS))
+    prec = draw(st.integers(1, 9))
+    a_r = draw(st.integers(0, 4))
+    a_i = draw(st.integers(a_r, 8))
+    b = [draw(st.integers(0, a_r)) for _ in range(4)]
+    coeff = st.sampled_from(_units(field)).map(field.from_int)
+
+    def row(weight, keys):
+        out = {}
+        for k in keys:
+            e = weight - b[k]
+            if e < prec and draw(st.booleans()):
+                out[k] = (e, draw(coeff))
+        return out
+
+    # vec holds keys 0..2 and src keys 1..3
+    return field, prec, a_i - a_r, draw(coeff), row(a_i, (0, 1, 2)), row(a_r, (1, 2, 3))
+
+
+@given(_row_operations())
+def test_add_multiple_matches_generic_arithmetic(drawn):
+    # tests/reference_oracle.py has the general ring: vec + (g pi^shift) * src
+    # there, entry by entry, truncation and cancellation included
+    field, prec, shift, g, vec, src = drawn
+
+    def series(x):
+        return ref.TruncatedSeries(field, prec, dict([x]) if x else None)
+
+    f = ref.TruncatedSeries(field, prec, {shift: g})
+    expected = {k: series(vec.get(k)) for k in range(4)}
+    for k, y in src.items():
+        expected[k] = expected[k] + f * series(y)
+    _add_multiple(vec, shift, g, src, field, prec)
+    assert {k: dict([x]) for k, x in vec.items()} == {
+        k: x.coeffs for k, x in expected.items() if x.coeffs
+    }
 
 
 def test_choose_precision_examples():
@@ -189,13 +154,14 @@ def test_choose_precision_examples():
     assert choose_precision(edge) == 7
 
 
-def _matrix(rows, prec=N, field=Q):
-    """A SeriesMatrix from dense rows of series."""
-    return SeriesMatrix(field, prec, [dict(enumerate(r)) for r in rows], len(rows[0]) if rows else 0)
+def _matrix(rows):
+    """A SeriesMatrix over Q mod pi^N from dense rows of entries, None for zero."""
+    sparse = [{j: x for j, x in enumerate(r) if x is not None} for r in rows]
+    return SeriesMatrix(Q, N, sparse, len(rows[0]) if rows else 0)
 
 
 def test_series_matrix_drops_zeros_and_checks_columns():
-    m = SeriesMatrix(Q, N, [{0: zero(), 2: mono(1)}, {1: mono(0) + mono(0, -1)}], 3)
+    m = SeriesMatrix(Q, N, [{0: mono(0, 0), 2: mono(1)}, {1: (0, Q.zero())}], 3)
     assert m.rows == [{2: mono(1)}, {}]
     assert (m.nrows, m.ncols) == (2, 3)
     for bad in (3, -1):
@@ -204,7 +170,7 @@ def test_series_matrix_drops_zeros_and_checks_columns():
 
 
 def test_snf_diagonal():
-    m = _matrix([[mono(1), zero()], [zero(), mono(2)]])
+    m = _matrix([[mono(1), None], [None, mono(2)]])
     assert snf_valuations(m) == [1, 2]
 
 
@@ -219,123 +185,116 @@ def test_snf_unit_pivot():
 
 
 def test_snf_zero_and_empty():
-    assert snf_valuations(_matrix([[zero(), zero()]])) == []
+    assert snf_valuations(_matrix([[None, None]])) == []
     assert snf_valuations(SeriesMatrix(Q, N, [], ncols=3)) == []
 
 
 def test_snf_needs_column_ops():
-    # [[pi, 1], [pi^2, pi^3]]: unit pivot at (0,1) after a column swap,
-    # remaining entry pi^2 + pi^4 has valuation 2
-    m = _matrix([[mono(1), mono(0)], [mono(2), mono(3)]])
-    assert snf_valuations(m) == [0, 2]
+    # [[pi, 1], [pi^3, 2 pi^2]], row weights (1, 3) and column weights (0, 1):
+    # the unit pivot at (0,1) needs a column swap, and the determinant
+    # 2 pi^3 - pi^3 leaves pi^3
+    m = _matrix([[mono(1), mono(0)], [mono(3), mono(2, 2)]])
+    assert snf_valuations(m) == [0, 3]
     # the elimination runs on a copy of the rows
-    assert m.rows == [{0: mono(1), 1: mono(0)}, {0: mono(2), 1: mono(3)}]
+    assert m.rows == [{0: mono(1), 1: mono(0)}, {0: mono(3), 1: mono(2, 2)}]
+
+
+def test_snf_refuses_entries_that_are_not_pi_monomials():
+    # [[pi, 1], [pi^2, pi^3]] has no row and column weights: after the
+    # column swap, row 1 loses pi^3 * (1, pi), and pi^2 - pi^4 would need
+    # two terms in one entry
+    m = _matrix([[mono(1), mono(0)], [mono(2), mono(3)]])
+    with pytest.raises(
+        PrecisionExhausted,
+        match=r"^row operation adds pi\^4 to an entry at pi\^2: entries are not pi-monomials$",
+    ):
+        snf_valuations(m)
+
+
+def _shaped(row_weights, col_weights, rng, prec, keep=lambda i, j: True):
+    """A reference matrix with random entries c*pi^(row_weights[i] - col_weights[j]).
+
+    Only positions with a non-negative exponent, and those keep allows, get
+    an entry; c comes from -2..2, so some are zero.
+    """
+    m = ref.SeriesMatrix.zeros(Q, prec, len(row_weights), len(col_weights))
+    for i, a in enumerate(row_weights):
+        for j, b in enumerate(col_weights):
+            if a >= b and keep(i, j) and rng.random() < 0.6:
+                m.rows[i][j] = ref.TruncatedSeries(Q, prec, {a - b: Q.from_int(rng.randint(-2, 2))})
+    return m
 
 
 def test_snf_invariant_under_unimodular_factors():
+    # L * M * R with unit-triangular factors whose entry (i, k) is
+    # c*pi^(w_i - w_k) for M's row weights (L) or column weights (R): the
+    # product keeps M's shape, and the determinants are exactly 1
     rng = random.Random(13)
+    prec = 12
+
+    def unimodular(weights):
+        one = ref.TruncatedSeries.monomial(Q, prec, 0)
+        low = _shaped(weights, weights, rng, prec, lambda i, k: i > k)
+        up = _shaped(weights, weights, rng, prec, lambda i, k: i < k)
+        for i in range(len(weights)):
+            low.rows[i][i] = up.rows[i][i] = one
+        return low.mat_mul(up)
+
     for _ in range(20):
-        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
-        prec = 12
-        rows = [
-            [
-                TruncatedSeries(
-                    Q,
-                    prec,
-                    {
-                        e: Q.from_int(rng.randint(-2, 2))
-                        for e in rng.sample(range(6), rng.randint(0, 3))
-                    },
-                )
-                for _ in range(nc)
-            ]
-            for _ in range(nr)
-        ]
-        m = SeriesMatrix(Q, prec, [dict(enumerate(r)) for r in rows], nc)
-
-        def unimodular(k):
-            # product of unit-triangular factors, determinant exactly 1
-            low = series_identity(Q, prec, k)
-            up = series_identity(Q, prec, k)
-            for i in range(k):
-                for j in range(k):
-                    if i == j or rng.random() < 0.4:
-                        continue
-                    entry = TruncatedSeries(
-                        Q, prec, {rng.randint(0, 3): Q.from_int(rng.randint(-2, 2))}
-                    )
-                    if entry.is_zero():
-                        continue
-                    if i > j:
-                        low.rows[i][j] = entry
-                    else:
-                        up.rows[i][j] = entry
-            return series_mat_mul(low, up)
-
-        left = unimodular(nr)
-        right = unimodular(nc)
-        product = series_mat_mul(series_mat_mul(left, m), right)
-        assert snf_valuations(product) == snf_valuations(m)
+        a = [rng.randrange(4) for _ in range(rng.randint(1, 4))]
+        b = [rng.randrange(4) for _ in range(rng.randint(1, 4))]
+        m = _shaped(a, b, rng, prec)
+        product = unimodular(a).mat_mul(m).mat_mul(unimodular(b))
+        assert snf_valuations(_from_reference(product)) == snf_valuations(_from_reference(m))
 
 
 @st.composite
-def _single_term_matrices(draw):
-    """A dense matrix of zero and one-term entries.
+def _weight_shaped_matrices(draw):
+    """Sparse rows of entries c*pi^(a_i - b_j), present only where a_i >= b_j.
 
-    Valuations come from 0..3, so ties between candidate pivots are common;
-    the entries do not follow the a_i - b_j shape, so eliminating them also
-    builds series with several terms.
+    Row and column weights come from 0..4, so ties between candidate pivots
+    are common; exponents at or beyond the precision are zero and left out.
     """
     field = draw(st.sampled_from(_FIELDS))
     prec = draw(st.integers(1, 8))
     nrows, ncols = draw(st.integers(1, 25)), draw(st.integers(1, 25))
     density = draw(st.sampled_from((0.1, 0.3, 0.7)))
     rng = draw(st.randoms(use_true_random=False))
-    units = range(1, 7) if field.p is None else range(1, field.p)
-
-    def entry():
-        if rng.random() < density:
-            return {rng.randrange(min(4, prec)): field.from_int(rng.choice(units))}
-        return {}
-
-    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
-    return field, prec, rows
-
-
-def _elimination_outcome(eliminate, *args):
-    try:
-        return eliminate(*args)
-    except PrecisionExhausted as e:
-        return str(e)
+    units = _units(field)
+    a = [rng.randrange(5) for _ in range(nrows)]
+    b = [rng.randrange(5) for _ in range(ncols)]
+    rows = [
+        {
+            j: (ai - bj, field.from_int(rng.choice(units)))
+            for j, bj in enumerate(b)
+            if 0 <= ai - bj < prec and rng.random() < density
+        }
+        for ai in a
+    ]
+    return field, prec, rows, ncols
 
 
 @settings(max_examples=60, deadline=None)
-@given(_single_term_matrices())
+@given(_weight_shaped_matrices())
 def test_eliminate_matches_reference_pivots(drawn):
-    # the valuations and the pivot series pin the pivot rule, least
+    # the valuations and the pivot entries pin the pivot rule, least
     # valuation, then first row, then first column, and the row swaps and
     # row operations that follow it
-    field, prec, rows = drawn
-    nrows, ncols = len(rows), len(rows[0])
-    a = [{j: TruncatedSeries(field, prec, d) for j, d in enumerate(row) if d} for row in rows]
-    got = _elimination_outcome(_eliminate, a, nrows, ncols)
-    ra = [[ref.TruncatedSeries(field, prec, d) for d in row] for row in rows]
-    expected = _elimination_outcome(ref._eliminate, ra, nrows, ncols)
-    if isinstance(expected, str):
-        assert got == expected
-        return
-    vals, _ = expected
+    field, prec, rows, ncols = drawn
+    nrows = len(rows)
+    a = [dict(row) for row in rows]
+    got = _eliminate(a, nrows, ncols, field, prec)
+    ra = _to_reference(rows, ncols, field, prec)
+    vals, _ = ref._eliminate(ra, nrows, ncols)
     assert got == vals
-    assert [a[k][k].coeffs for k in range(len(vals))] == [ra[k][k].coeffs for k in range(len(vals))]
+    assert [dict([a[k][k]]) for k in range(len(vals))] == [ra[k][k].coeffs for k in range(len(vals))]
 
 
 def test_weighted_boundary_matrix_entries(filled_triangle):
     A = weighted_boundary_matrix(filled_triangle, 2, Q)
     prec = choose_precision(filled_triangle)
     assert A.precision == prec
-    col = [row[0] for row in A.rows]
-    vals = [s.valuation() for s in col]
-    assert vals == [1, 1, 1]
+    assert [row[0] for row in A.rows] == [mono(1), mono(1, -1), mono(1)]
 
 
 def test_weighted_boundary_matrix_stores_only_nonzeros():
@@ -364,7 +323,7 @@ def test_weighted_boundary_squares_to_zero():
         for n in range(2, X.dim + 1):
             lower = weighted_boundary_matrix(X, n - 1, Q, prec)
             upper = weighted_boundary_matrix(X, n, Q, prec)
-            assert series_matrix_is_zero(series_mat_mul(lower, upper))
+            assert weighted_product_is_zero(lower, upper.rows)
 
 
 def test_in_column_span_weighted_image(filled_triangle):
@@ -373,19 +332,23 @@ def test_in_column_span_weighted_image(filled_triangle):
     beta = {("a", "b"): Q.one(), ("a", "c"): Q.neg(Q.one()), ("b", "c"): Q.one()}
     lifted = lift_cycle(beta, filled_triangle, Q)
     vec = chain_to_series(lifted, filled_triangle, Q, prec)
-    pi = TruncatedSeries.monomial(Q, prec, 1)
     assert not in_column_span(A, vec)
-    assert in_column_span(A, [pi * x for x in vec])
+    assert in_column_span(A, times_pi(vec, 1, prec))
 
 
 def test_in_column_span_identity_like():
-    cols = _matrix([[mono(1), mono(0)], [mono(2), mono(3)]])
-    assert in_column_span(cols, [mono(0), mono(5)])
-    assert cols.rows == [{0: mono(1), 1: mono(0)}, {0: mono(2), 1: mono(3)}]
-    cols = _matrix([[mono(0), zero()], [zero(), mono(2)]])
-    assert in_column_span(cols, [mono(3), mono(2)])
-    assert not in_column_span(cols, [mono(3), mono(1)])
-    assert not in_column_span(_matrix([[mono(1)], [zero()]]), [zero(), mono(0)])
+    # targets are columns of the same shape: c*pi^(a_i - b) for one weight b.
+    # Row weights (1, 3), column weights (0, 1): x = 2, y = -pi make (pi, 0),
+    # while (1, 0) would need pi^3 x = 2 pi^2
+    cols = _matrix([[mono(1), mono(0)], [mono(3), mono(2, 2)]])
+    assert in_column_span(cols, {0: mono(1)})
+    assert not in_column_span(cols, {0: mono(0)})
+    assert cols.rows == [{0: mono(1), 1: mono(0)}, {0: mono(3), 1: mono(2, 2)}]
+    # row weights (0, 1), column weights (0, -1)
+    cols = _matrix([[mono(0), None], [None, mono(2)]])
+    assert in_column_span(cols, {0: mono(1), 1: mono(2)})
+    assert not in_column_span(cols, {0: mono(0), 1: mono(1)})
+    assert not in_column_span(_matrix([[mono(1)], [None]]), {1: mono(0)})
 
 
 def test_homology_via_snf_tetra():

@@ -1,11 +1,13 @@
 """Differential tests: the sparse oracle against the dense reference copy.
 
 `tests/reference_oracle.py` is the oracle as it was before it skipped zero
-entries. Both run on the same seeded inputs and must give the same
-valuation lists, span answers, homology and, where precision is forced too
-low, the same exception type and message. The reference answers a span
-question by mirroring its elimination onto the target; the sparse side by
-comparing invariant factors (`tests/invariants.in_column_span`).
+entries, with a general truncated-series ring where the library holds one
+(exponent, scalar) pair per entry. Both run on the same seeded inputs and
+must give the same valuation lists, span answers, homology and, where
+precision is forced too low, the same exception type and message. The
+reference answers a span question by mirroring its elimination onto the
+target; the sparse side by comparing invariant factors
+(`tests/invariants.in_column_span`).
 """
 
 import random
@@ -29,13 +31,23 @@ def _boundary_valuations(oracle, X, n, field, precision=None):
     return oracle.snf_valuations(oracle.weighted_boundary_matrix(X, n, field, precision))
 
 
+def _sparse_span(upper, gen, X, field, N, k):
+    vec = invariants.chain_to_series(gen, X, field, N)
+    return invariants.in_column_span(upper, invariants.times_pi(vec, k, N))
+
+
+def _reference_span(upper, gen, X, field, N, k):
+    vec = ref.chain_to_series(gen, X, field, N)
+    pi_k = ref.TruncatedSeries.monomial(field, N, k)
+    return ref.in_column_span(upper, [pi_k * x for x in vec])
+
+
 # where each side's span question and chain coordinates live
-_SPAN = {new: invariants, ref: ref}
+_SPAN = {new: _sparse_span, ref: _reference_span}
 
 
 def _span_answers(oracle, X, field, per_module=None):
     """in_column_span of pi^k * g for generators g and k at and just below their exponent."""
-    span = _SPAN[oracle]
     N = oracle.choose_precision(X)
     out = []
     for mod in homology_all(X, field, with_generators=True):
@@ -45,10 +57,8 @@ def _span_answers(oracle, X, field, per_module=None):
         upper = oracle.weighted_boundary_matrix(X, n + 1, field, N)
         exponents = [0] * mod.free_rank + list(mod.torsion)
         for gen, m in list(zip(mod.generators, exponents))[:per_module]:
-            vec = span.chain_to_series(gen, X, field, N)
             for k in {m - 1, m} - {-1}:
-                pi_k = oracle.TruncatedSeries.monomial(field, N, k)
-                out.append(_outcome(span.in_column_span, upper, [pi_k * x for x in vec]))
+                out.append(_outcome(_SPAN[oracle], upper, gen, X, field, N, k))
     return out
 
 
@@ -70,12 +80,13 @@ def _reference_elimination(X, n, field):
 
 def _sparse_elimination(X, n, field):
     A = new.weighted_boundary_matrix(X, n, field)
-    vals = new._eliminate(A.rows, A.nrows, A.ncols)
-    return vals, [A.rows[k][k].coeffs for k in range(len(vals))]
+    vals = new._eliminate(A.rows, A.nrows, A.ncols, A.field, A.precision)
+    # a pivot (e, c) as the reference's {e: c}
+    return vals, [dict([A.rows[k][k]]) for k in range(len(vals))]
 
 
 def _same_pivots(X, field):
-    """Valuations alone cannot tell pivot orders apart; the pivot series can."""
+    """Valuations alone cannot tell pivot orders apart; the pivot entries can."""
     return all(
         _sparse_elimination(X, n, field) == _reference_elimination(X, n, field)
         for n in range(1, X.dim + 1)
