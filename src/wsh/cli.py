@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="recompute every module with the independent verifier",
+        help="recompute the free rank and torsion of each module with the "
+        "independent verifier (pairs and generators are not rechecked)",
     )
     p.add_argument(
         "--complete-faces",

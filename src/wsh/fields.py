@@ -95,14 +95,22 @@ class FieldSpec:
     def from_int(self, k: int):
         return k if self.p is None else k % self.p
 
+    # add and mul run once per entry of every elimination step, so they
+    # normalise inline what _rational normalises for the other operations
     def add(self, a, b):
-        return _rational(a + b) if self.p is None else (a + b) % self.p
+        if self.p is not None:
+            return (a + b) % self.p
+        x = a + b
+        return x if type(x) is int or x.denominator != 1 else x.numerator
 
     def sub(self, a, b):
         return _rational(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a, b):
-        return _rational(a * b) if self.p is None else (a * b) % self.p
+        if self.p is not None:
+            return (a * b) % self.p
+        x = a * b
+        return x if type(x) is int or x.denominator != 1 else x.numerator
 
     def neg(self, a):
         return _rational(-a) if self.p is None else (-a) % self.p

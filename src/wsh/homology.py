@@ -159,9 +159,12 @@ def _reduce(X, n, rows, field, with_cycles):
     rows; each pivots on its smallest position in rows. Returns the split
     of the n-simplices as a CycleBasis, with cycles only when with_cycles
     is set (no chains are carried otherwise), and a dict mapping each
-    pivot position to (independent simplex that took it, its column and
-    chain at that moment, inverse of the pivot entry), the column as
-    {position: scalar}.
+    pivot position to (independent simplex that took it, its pivot entry,
+    the rest of its column and its chain at that moment, negated inverse
+    of the pivot entry), the rest as {position: scalar} over positions
+    past the pivot. A later column with entry c at that pivot adds c times
+    the negated inverse times the stored column, which cancels c exactly:
+    the step pops c and adds only the rest.
     """
     if not X.n_simplices(n):
         return CycleBasis(n, [], [], {}), {}
@@ -171,6 +174,7 @@ def _reduce(X, n, rows, field, with_cycles):
     row_pos = [position.get(s) for s in bm.row_simplices]
     columns = dict(zip(bm.col_simplices, bm.columns))
     scalar = {1: field.from_int(1), -1: field.from_int(-1)}
+    mul, add, is_zero = field.mul, field.add, field.is_zero
     # chains are keyed by position in the processing order
     reduced = {}
     dependent, independent, cycles = [], [], {}
@@ -184,13 +188,31 @@ def _reduce(X, n, rows, field, with_cycles):
             pivot = min(column)
             if pivot not in reduced:
                 break
-            _s, pivot_column, pivot_chain, inv = reduced[pivot]
-            f = field.neg(field.mul(column[pivot], inv))
-            _add_multiple(column, f, pivot_column, field)
+            _s, _c, rest, pivot_chain, g = reduced[pivot]
+            f = mul(column.pop(pivot), g)
+            # a product of nonzero scalars is nonzero: only a sum can cancel
+            for k, v in rest.items():
+                if k in column:
+                    x = add(column[k], mul(f, v))
+                    if is_zero(x):
+                        del column[k]
+                    else:
+                        column[k] = x
+                else:
+                    column[k] = mul(f, v)
             if with_cycles:
-                _add_multiple(chain, f, pivot_chain, field)
+                for k, v in pivot_chain.items():
+                    if k in chain:
+                        x = add(chain[k], mul(f, v))
+                        if is_zero(x):
+                            del chain[k]
+                        else:
+                            chain[k] = x
+                    else:
+                        chain[k] = mul(f, v)
         if column:
-            reduced[pivot] = (s, column, chain, field.inv(column[pivot]))
+            c = column.pop(pivot)
+            reduced[pivot] = (s, c, column, chain, field.neg(field.inv(c)))
             independent.append(s)
         else:
             dependent.append(s)
@@ -225,8 +247,9 @@ def lift_cycle(chain: dict, X: WeightedComplex, field: FieldSpec) -> WeightedCha
     dims = {len(s) for s in support}
     if len(dims) != 1:
         raise MismatchedDimensions("chain mixes simplices of different dimensions")
-    wmin = min(X.weight(s) for s in support)
-    terms = {s: ((X.weight(s) - wmin, chain[s]),) for s in sorted(support)}
+    weight = {s: X.weight(s) for s in support}
+    wmin = min(weight.values())
+    terms = {s: ((weight[s] - wmin, chain[s]),) for s in sorted(support)}
     return WeightedChain(len(support[0]) - 1, terms)
 
 
@@ -252,7 +275,7 @@ def simplex_pairing(
         if k not in taken:
             unpaired.append(kappa)
             continue
-        mu, column, _chain, _inv = taken[k]
+        mu, c, rest, _chain, _g = taken[k]
         m = weights[kappa] - weights[mu]
         if m < 0:
             raise ComplexError(
@@ -260,7 +283,8 @@ def simplex_pairing(
                 "weights must not increase from a face to its coface"
             )
         pairs.append(PairedSimplices(kappa, mu, m))
-        row_coeffs.append({owners[i]: column[i] for i in sorted(column)})
+        # the column at pivot time: kappa, then the rest by position
+        row_coeffs.append({kappa: c, **{owners[i]: rest[i] for i in sorted(rest)}})
     return SimplexPairing(n, pairs, unpaired, row_coeffs, up)
 
 

@@ -18,7 +18,12 @@ from wsh.fileio import parse_complex_file, render_json_report, render_text_repor
 from wsh.homology import cycle_basis, homology, homology_all
 
 from . import reference_homology as ref
-from .conftest import CORPUS_FIELDS, random_weighted_complex, torus_grid_complex
+from .conftest import (
+    CORPUS_FIELDS,
+    projective_plane_complex,
+    random_weighted_complex,
+    torus_grid_complex,
+)
 
 FIELDS = CORPUS_FIELDS + (FieldSpec.prime_field(32003),)
 
@@ -40,6 +45,16 @@ def _simplex_boundary(d):
     """The boundary of the d-simplex, parsed from a `!maximal 0` file."""
     facets = itertools.combinations([f"x{i}" for i in range(d + 1)], d)
     return parse_complex_file("!maximal 0\n" + "".join(" ".join(f) + "\n" for f in facets))
+
+
+def _monotone_copy(X, rng):
+    """X with random weights: top simplices draw 0..2, each face adds 0..2 to its heaviest coface."""
+    weights = {}
+    for n in range(X.dim, -1, -1):
+        for s in X.n_simplices(n):
+            cofaces = [w for t, w in weights.items() if len(t) == n + 2 and set(s) <= set(t)]
+            weights[s] = max(cofaces, default=0) + rng.randint(0, 2)
+    return build_complex(weights.items())
 
 
 def _basis(b):
@@ -107,3 +122,12 @@ def test_torus_grids_match_reference(k):
 
 def test_simplex_boundaries_match_reference():
     assert not _mismatches([_simplex_boundary(d) for d in range(3, 8)])
+
+
+def test_projective_plane_matches_reference():
+    # over Q the last stored pivot entry of RP^2 is 2, a unit other than +-1
+    # in GF(32003) too; the triangle 123, whose edges RP^2 has but whose face
+    # it lacks, comes lighter, so its column reduces against that pivot
+    X = projective_plane_complex()
+    capped = build_complex([(s, 1) for s in X.simplices()] + [(("1", "2", "3"), 0)])
+    assert not _mismatches([X, _monotone_copy(X, random.Random(0x5EED)), capped])
