@@ -147,7 +147,7 @@ def main(argv=None) -> int:
             return CHECK_MISMATCH
 
     if args.json is not None:
-        payload = render_json_report(modules, field, with_generators=args.generators)
+        payload = render_json_report(modules, field)
         if args.json == "-":
             sys.stdout.write(payload)
         else:
@@ -158,7 +158,7 @@ def main(argv=None) -> int:
                 print(f"wsh: error: cannot write {args.json}: {e.strerror}", file=sys.stderr)
                 return INPUT_ERROR
     else:
-        sys.stdout.write(render_text_report(modules, field, with_generators=args.generators))
+        sys.stdout.write(render_text_report(modules, field))
     return 0
 
 

@@ -69,12 +69,11 @@ def _check_weight(labels, w):
 class WeightedComplex:
     """Immutable weighted complex. Construct via build_complex and friends."""
 
-    __slots__ = ("labels", "_weights", "_per_dim", "dim")
+    __slots__ = ("_weights", "_per_dim", "dim")
 
     def __init__(self, weight_by_labels):
         # weight_by_labels: {sorted label tuple: weight}, assumed validated
         self._weights = dict(weight_by_labels)
-        self.labels = tuple(sorted({v for s in self._weights for v in s}))
         self.dim = max(len(s) for s in self._weights) - 1
         per_dim = [[] for _ in range(self.dim + 1)]
         for s in self._weights:
@@ -94,11 +93,7 @@ class WeightedComplex:
         return len(self._weights)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, WeightedComplex)
-            and self.labels == other.labels
-            and self._weights == other._weights
-        )
+        return isinstance(other, WeightedComplex) and self._weights == other._weights
 
     def __repr__(self):
         return f"WeightedComplex({len(self)} simplices, dim {self.dim})"
@@ -124,21 +119,28 @@ class WeightedComplex:
             yield from d
 
 
-def build_complex(pairs) -> WeightedComplex:
-    """Build from (vertices, weight) pairs listing every simplex explicitly.
-
-    Validates distinct records, face closure, and weight monotonicity
-    (a face never weighs less than its cofaces).
-    """
+def _listing(pairs, canonical):
+    """{labels: weight} of (vertices, weight) pairs, labelled by canonical,
+    refusing a bad weight, a simplex listed twice and an empty listing."""
     weights = {}
     for vertices, w in pairs:
-        labels = _canonical_labels(vertices)
+        labels = canonical(vertices)
         _check_weight(labels, w)
         if labels in weights:
             raise DuplicateSimplex(labels)
         weights[labels] = w
     if not weights:
         raise EmptyInput("no simplices given")
+    return weights
+
+
+def build_complex(pairs) -> WeightedComplex:
+    """Build from (vertices, weight) pairs listing every simplex explicitly.
+
+    Validates distinct records, face closure, and weight monotonicity
+    (a face never weighs less than its cofaces).
+    """
+    weights = _listing(pairs, _canonical_labels)
     for labels, w in weights.items():
         if len(labels) == 1:
             continue
@@ -214,15 +216,7 @@ def complete_faces(pairs) -> WeightedComplex:
     MAX_CLOSURE_VERTICES vertices raises SimplexTooLarge before any face is
     generated. The work is linear in the number of faces of the closure.
     """
-    listed = {}
-    for vertices, w in pairs:
-        labels = _closable_labels(vertices)
-        _check_weight(labels, w)
-        if labels in listed:
-            raise DuplicateSimplex(labels)
-        listed[labels] = w
-    if not listed:
-        raise EmptyInput("no simplices given")
+    listed = _listing(pairs, _closable_labels)
     weights = _heaviest_cofaces(listed)
     items = sorted(listed.items(), key=lambda kv: len(kv[0]))
     for s, ws in items:

@@ -8,8 +8,11 @@ weight written in ASCII digits:
 
 Full-line comments start with '#', blank lines are skipped. If the first
 significant line is '!maximal W', only maximal simplices need to be listed:
-every missing face is added with the weight W. Wherever faces are filled in,
-a record may have at most complexes.MAX_CLOSURE_VERTICES vertices.
+each record is then the bare vertices, without ';' or weight, and every
+simplex and missing face gets the weight W, whether or not complete=True.
+One loop reads both kinds of file; only the record syntax and where the
+weight comes from depend on the header. Wherever faces are filled in, a
+record may have at most complexes.MAX_CLOSURE_VERTICES vertices.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from json.encoder import encode_basestring_ascii
 from .complexes import WeightedComplex, build_complex, complete_faces, from_maximal
 from .errors import (
     ComplexError,
-    DuplicateSimplex,
     EmptyInput,
     MissingFace,
     MonotonicityViolation,
@@ -47,7 +49,7 @@ def _decorate(err, line_of):
     key = None
     if isinstance(err, MonotonicityViolation):
         key = err.face if err.face in line_of else err.coface
-    elif isinstance(err, (DuplicateSimplex, MissingFace, SimplexTooLarge)):
+    elif isinstance(err, (MissingFace, SimplexTooLarge)):
         key = err.simplex
     if key is not None and key in line_of:
         err.line = line_of[key]
@@ -71,75 +73,54 @@ def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
     With complete=True, faces missing from the file are filled in with the
     maximum weight among their listed cofaces instead of being an error.
     """
-    lines = split_lines(text)
+    default = None  # the weight W of a '!maximal W' file, whose records are bare
     records = []
     line_of = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("!"):
-            if records:
+            if records or default is not None:
                 raise ParseError(lineno, "directives must precede all records")
             parts = line[1:].split()
             if len(parts) != 2 or parts[0] != "maximal":
                 raise ParseError(lineno, f"unknown directive {line!r}")
-            return _parse_maximal(lines, lineno, _weight(lineno, parts[1], "default weight"))
-        if line.count(";") != 1:
-            raise ParseError(lineno, "expected 'v1 v2 ... ; weight'")
-        left, right = line.split(";")
-        labels = tuple(left.split())
-        if not labels:
-            raise ParseError(lineno, "record has no vertices")
+            default = _weight(lineno, parts[1], "default weight")
+            continue
+        if default is None:
+            if line.count(";") != 1:
+                raise ParseError(lineno, "expected 'v1 v2 ... ; weight'")
+            left, weight = line.split(";")
+            labels = tuple(left.split())
+            if not labels:
+                raise ParseError(lineno, "record has no vertices")
+            shown = " ".join(labels)
+        else:
+            if ";" in line:
+                raise ParseError(lineno, "maximal mode lists bare simplices, no weights")
+            labels = tuple(line.split())
+            shown = line
         if len(set(labels)) != len(labels):
-            raise ParseError(lineno, f"repeated vertex in {' '.join(labels)!r}")
-        weight = _weight(lineno, right.strip(), "weight")
+            raise ParseError(lineno, f"repeated vertex in {shown!r}")
+        if default is None:
+            weight = _weight(lineno, weight.strip(), "weight")
         key = tuple(sorted(labels))
         if key in line_of:
             raise ParseError(
                 lineno, f"simplex {' '.join(key)!r} already given on line {line_of[key]}"
             )
         line_of[key] = lineno
-        records.append((labels, weight))
+        records.append((labels, weight) if default is None else labels)
 
     if not records:
         raise EmptyInput("no simplices in input")
     try:
+        if default is not None:
+            return from_maximal(records, default)
         if complete:
             return complete_faces(records)
         return build_complex(records)
-    except ComplexError as err:
-        _decorate(err, line_of)
-
-
-def _parse_maximal(lines, directive_lineno: int, weight: int) -> WeightedComplex:
-    """Bare-record mode: one maximal simplex per line, faces filled in."""
-    simplices = []
-    line_of = {}
-    for lineno, raw in enumerate(lines, start=1):
-        if lineno <= directive_lineno:
-            continue
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("!"):
-            raise ParseError(lineno, "directives must precede all records")
-        if ";" in line:
-            raise ParseError(lineno, "maximal mode lists bare simplices, no weights")
-        labels = tuple(line.split())
-        if len(set(labels)) != len(labels):
-            raise ParseError(lineno, f"repeated vertex in {line!r}")
-        key = tuple(sorted(labels))
-        if key in line_of:
-            raise ParseError(
-                lineno, f"simplex {' '.join(key)!r} already given on line {line_of[key]}"
-            )
-        line_of[key] = lineno
-        simplices.append(labels)
-    if not simplices:
-        raise EmptyInput("no simplices in input")
-    try:
-        return from_maximal(simplices, weight)
     except ComplexError as err:
         _decorate(err, line_of)
 
@@ -167,14 +148,13 @@ def _chain_text(chain, field) -> str:
     return " + ".join(terms)
 
 
-def render_text_report(modules, field, with_generators: bool = False) -> str:
-    """Human-readable summary, one homology module per line."""
+def render_text_report(modules, field) -> str:
+    """Human-readable summary: a line per module, then any generators it carries."""
     lines = [f"field: {field.name}"]
     for mod in modules:
         lines.append(f"H_{mod.n} = {_module_text(mod)}")
-        if with_generators and mod.generators:
-            for chain in mod.generators:
-                lines.append(f"  generator: {_chain_text(chain, field)}")
+        for chain in mod.generators or ():
+            lines.append(f"  generator: {_chain_text(chain, field)}")
     return "\n".join(lines) + "\n"
 
 
@@ -215,12 +195,13 @@ def _close_list(out, start, level):
         out.append(_NL[level] + "]")
 
 
-def render_json_report(modules, field, with_generators: bool = False) -> str:
+def render_json_report(modules, field) -> str:
     """Machine-readable summary with a stable key layout.
 
     The text is exactly json.dumps(report, indent=2) + "\n" of the object
     {"field": ..., "dimensions": [{"n", "free_rank", "torsion", "pairs"
-    [, "generators"]}, ...]}, but it is written here piece by piece:
+    [, "generators"]}, ...]}, with "generators" present exactly when the
+    module's generators are not None. It is written here piece by piece:
     CPython runs its C encoder only when indent is None, and the pure-Python
     one it falls back to took longer than the homology itself on large
     reports with generators. Strings still go through the stdlib's C
@@ -243,7 +224,7 @@ def render_json_report(modules, field, with_generators: bool = False) -> str:
                 f"{_SEP6.join(map(_str, p.mu))}{_PAIR_M}{_int(p.m)}{_NL[4]}}}"
             )
         _close_list(out, pairs, 3)
-        if with_generators and mod.generators is not None:
+        if mod.generators is not None:
             append(f',{_NL[3]}"generators": ')
             gens = len(out)
             for chain in mod.generators:

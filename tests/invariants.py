@@ -193,9 +193,10 @@ def weight_shift_violations(X, field, shift=3):
 
 
 def relabel_violations(X, field, rng):
-    names = [f"w{i:03d}" for i in range(len(X.labels))]
+    labels = sorted({v for s in X.simplices() for v in s})
+    names = [f"w{i:03d}" for i in range(len(labels))]
     rng.shuffle(names)
-    mapping = dict(zip(X.labels, names))
+    mapping = dict(zip(labels, names))
     relabeled = build_complex(
         [
             (tuple(mapping[v] for v in s), X.weight(s))

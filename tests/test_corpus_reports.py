@@ -34,8 +34,7 @@ TORUS_30_DIGESTS = {
 
 
 def _digest(modules, field):
-    payload = render_json_report(modules, field, with_generators=True)
-    payload += render_text_report(modules, field, with_generators=True)
+    payload = render_json_report(modules, field) + render_text_report(modules, field)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

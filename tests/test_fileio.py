@@ -6,7 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsh.complexes import build_complex, from_maximal
-from wsh.errors import EmptyInput, MonotonicityViolation, ParseError
+from wsh.errors import (
+    EmptyInput,
+    MissingFace,
+    MonotonicityViolation,
+    ParseError,
+    SimplexTooLarge,
+)
 from wsh.fields import FieldSpec
 from wsh.fileio import (
     parse_complex_file,
@@ -87,6 +93,58 @@ def test_parse_error_cases():
         parse_complex_file("# nothing here\n\n")
 
 
+_TOO_BIG = " ".join(f"v{i:02d}" for i in range(21))
+_TOO_BIG_REASON = (
+    "simplex with 21 vertices would have 2097151 faces; "
+    "filling in faces takes at most 20 vertices (1048575 faces)"
+)
+# (text, complete, exception type, .line, str(exception)), every reader error
+# under the weighted header first, then under '!maximal W'
+_READER_ERRORS = [
+    ("a b 1\n", False, ParseError, 1, "line 1: expected 'v1 v2 ... ; weight'"),
+    ("a ; 1 ; 2\n", False, ParseError, 1, "line 1: expected 'v1 v2 ... ; weight'"),
+    ("; 1\n", False, ParseError, 1, "line 1: record has no vertices"),
+    ("a ; x\n", False, ParseError, 1, "line 1: bad weight 'x': expected ASCII digits 0-9"),
+    ("a  a ; 1\n", False, ParseError, 1, "line 1: repeated vertex in 'a a'"),
+    ("a a ; x\n", False, ParseError, 1, "line 1: repeated vertex in 'a a'"),
+    ("!frobnicate 3\na ; 1\n", False, ParseError, 1, "line 1: unknown directive '!frobnicate 3'"),
+    ("a ; 1\n!maximal 0\n", False, ParseError, 2, "line 2: directives must precede all records"),
+    ("a ; 1\n\na ; 1\n", False, ParseError, 3, "line 3: simplex 'a' already given on line 1"),
+    ("a ; 1\nb ; 1\na b ; 1\nb a ; 1\n", True, ParseError, 4,
+     "line 4: simplex 'a b' already given on line 3"),
+    ("a b ; 1\na ; 1\n", False, MissingFace, 1, "line 1: face {b} of {a b} is not in the complex"),
+    ("a b ; 2\na ; 1\nb ; 2\n", False, MonotonicityViolation, 2,
+     "line 2: weight of face {a} is 1 but its coface {a b} has weight 2"),
+    ("a b ; 5\na b c ; 1\nb ; 0\n", True, MonotonicityViolation, 3,
+     "line 3: weight of face {b} is 0 but its coface {a b} has weight 5"),
+    (f"a ; 0\n{_TOO_BIG} ; 0\n", True, SimplexTooLarge, 2, f"line 2: {_TOO_BIG_REASON}"),
+    ("# nothing here\n\n", False, EmptyInput, None, "no simplices in input"),
+    ("!maximal x\na\n", False, ParseError, 1,
+     "line 1: bad default weight 'x': expected ASCII digits 0-9"),
+    ("!maximal\na\n", False, ParseError, 1, "line 1: unknown directive '!maximal'"),
+    ("!maximal 0\n!maximal 1\na\n", False, ParseError, 2,
+     "line 2: directives must precede all records"),
+    ("!maximal 1\na b ; 2\n", False, ParseError, 2,
+     "line 2: maximal mode lists bare simplices, no weights"),
+    ("!maximal 1\na b ; 2\n", True, ParseError, 2,
+     "line 2: maximal mode lists bare simplices, no weights"),
+    ("!maximal 0\na  a\n", False, ParseError, 2, "line 2: repeated vertex in 'a  a'"),
+    ("!maximal 0\na b\nb a\n", False, ParseError, 3,
+     "line 3: simplex 'a b' already given on line 2"),
+    ("!maximal 0\n", False, EmptyInput, None, "no simplices in input"),
+    (f"!maximal 0\na\n{_TOO_BIG}\n", False, SimplexTooLarge, 3, f"line 3: {_TOO_BIG_REASON}"),
+]
+
+
+@pytest.mark.parametrize("text, complete, exc, line, message", _READER_ERRORS)
+def test_reader_errors_pin_type_message_and_line(text, complete, exc, line, message):
+    with pytest.raises(exc) as ei:
+        parse_complex_file(text, complete=complete)
+    assert type(ei.value) is exc
+    assert str(ei.value) == message
+    assert getattr(ei.value, "line", None) == line
+
+
 @pytest.mark.parametrize("ch", NOT_LINE_BREAKS, ids=lambda ch: f"U+{ord(ch):04X}")
 def test_only_cr_and_lf_break_lines(ch):
     # two records joined by ch are one bad record, not two good ones
@@ -145,7 +203,7 @@ def test_text_report_zero_module():
 def test_text_report_generators():
     X = build_complex([(("a",), 3), (("b",), 2), (("a", "b"), 1)])
     mods = homology_all(X, Q, with_generators=True)
-    text = render_text_report(mods, Q, with_generators=True)
+    text = render_text_report(mods, Q)
     assert "  generator: 1*pi^0*(a)" in text
     assert "  generator: -1*pi^1*(a) + 1*pi^0*(b)" in text
 
@@ -171,7 +229,7 @@ def test_json_report_generators_key_only_when_asked():
     plain = json.loads(render_json_report(homology_all(X, Q), Q))
     assert all("generators" not in d for d in plain["dimensions"])
     mods = homology_all(X, Q, with_generators=True)
-    rich = json.loads(render_json_report(mods, Q, with_generators=True))
+    rich = json.loads(render_json_report(mods, Q))
     gens = rich["dimensions"][0]["generators"]
     assert gens[0]["terms"][0]["simplex"] == ["a"]
     assert gens[0]["terms"][0]["poly"] == [[0, "1"]]
@@ -221,8 +279,6 @@ def test_json_report_matches_json_dumps_byte_for_byte(seed, labels, field, with_
         modules = homology_all(X, field, with_generators=with_generators)
     else:  # n may lie above X.dim, where every list of the module is empty
         modules = [homology(X, n, field, with_generators=with_generators)]
-    # the opposite flag too: chains present but not asked for, or asked for but absent
-    for flag in (with_generators, not with_generators):
-        assert render_json_report(modules, field, flag) == render_json_report_reference(
-            modules, field, flag
-        )
+    assert render_json_report(modules, field) == render_json_report_reference(
+        modules, field, with_generators
+    )

@@ -65,11 +65,8 @@ def _pairing(p):
     return p.pairs, p.unpaired, p.row_coefficients
 
 
-def _reports(modules, field, with_generators):
-    return (
-        render_json_report(modules, field, with_generators=with_generators),
-        render_text_report(modules, field, with_generators=with_generators),
-    )
+def _reports(modules, field):
+    return render_json_report(modules, field), render_text_report(modules, field)
 
 
 def _differences(X, field):
@@ -80,7 +77,7 @@ def _differences(X, field):
         ref_all = ref.homology_all(X, field, with_generators=gens)
         if [_pairing(m.pairing) for m in new_all] != [_pairing(m.pairing) for m in ref_all]:
             bad.append(f"homology_all pairing (generators={gens})")
-        if _reports(new_all, field, gens) != _reports(ref_all, field, gens):
+        if _reports(new_all, field) != _reports(ref_all, field):
             bad.append(f"homology_all reports (generators={gens})")
         for mod in new_all:
             up = ref.cycle_basis(X, mod.n + 1, field)
@@ -95,7 +92,7 @@ def _differences(X, field):
         ref_mod = ref.homology(X, n, field, with_generators=True)
         if _pairing(new_mod.pairing) != _pairing(ref_mod.pairing):
             bad.append(f"homology n={n} pairing")
-        if _reports([new_mod], field, True) != _reports([ref_mod], field, True):
+        if _reports([new_mod], field) != _reports([ref_mod], field):
             bad.append(f"homology n={n} reports")
     return bad
 
