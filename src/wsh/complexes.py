@@ -196,12 +196,9 @@ def _heaviest_cofaces(listed):
 
 
 def from_maximal(simplices, weight: int) -> WeightedComplex:
-    """Closure of the given simplices with one uniform weight."""
-    tops = [_closable_labels(s) for s in simplices]
-    if not tops:
-        raise EmptyInput("no simplices given")
-    _check_weight(tops[0], weight)
-    return WeightedComplex(_heaviest_cofaces(dict.fromkeys(tops, weight)))
+    """Closure of the given simplices with one uniform weight: complete_faces
+    over the distinct ones, so a simplex repeated in any vertex order merges."""
+    return complete_faces((s, weight) for s in dict.fromkeys(map(_closable_labels, simplices)))
 
 
 def complete_faces(pairs) -> WeightedComplex:

@@ -20,10 +20,11 @@ appears in it. The rest keep linearly independent boundary columns.
 Cycle coefficients over the independent simplices are unique, so the
 cycles depend neither on the rows kept nor on the pivot rule.
 
-cycle_basis keeps every (n-1)-simplex, in descending lexicographic order.
-simplex_pairing reduces the boundary of the (n+1)-simplices over the
-owners of the dimension-n cycles alone, by increasing weight, and so
-gets the pairs and the split of the (n+1)-simplices from one pass;
+cycle_basis keeps every (n-1)-simplex, in descending lexicographic order;
+homology(X, n) reduces over the same rows, carrying the chains only for
+generators. simplex_pairing reduces the boundary of the (n+1)-simplices
+over the owners of the dimension-n cycles alone, by increasing weight,
+and so gets the pairs and the split of the (n+1)-simplices from one pass;
 homology_all walks up the dimensions this way. Keeping only owner rows
 is exact: each owner lies in its own cycle alone, so an n-cycle is fixed
 by its owner coordinates, and the coordinate of a boundary on a cycle is
@@ -164,11 +165,15 @@ def _reduce(X, n, rows, field, with_cycles):
     of the pivot entry), the rest as {position: scalar} over positions
     past the pivot. A later column with entry c at that pivot adds c times
     the negated inverse times the stored column, which cancels c exactly:
-    the step pops c and adds only the rest.
+    the step pops c and adds only the rest. For n = 0 the boundary is zero,
+    and every vertex is dependent and owns the one-term cycle of itself.
     """
     if not X.n_simplices(n):
         return CycleBasis(n, [], [], {}), {}
     order = _processing_order(X, n)
+    if n == 0:
+        cycles = {v: {v: field.one()} for v in order} if with_cycles else {}
+        return CycleBasis(0, order, [], cycles), {}
     bm = boundary_exponent_matrix(X, n)
     position = {s: k for k, s in enumerate(rows)}
     row_pos = [position.get(s) for s in bm.row_simplices]
@@ -226,10 +231,6 @@ def cycle_basis(X: WeightedComplex, n: int, field: FieldSpec) -> CycleBasis:
     """Kernel basis of the dimension-n boundary map, one cycle per dependent simplex."""
     if n < 0:
         raise DimensionOutOfRange(n)
-    if n == 0:
-        # zero boundary: every vertex owns the cycle consisting of itself
-        order = _processing_order(X, 0)
-        return CycleBasis(0, order, [], {v: {v: field.one()} for v in order})
     # faces in descending lexicographic order: each column pivots on its last face
     basis, _taken = _reduce(X, n, X.n_simplices(n - 1)[::-1], field, with_cycles=True)
     return basis
@@ -305,9 +306,10 @@ def _module_from_pairing(X, n, basis_n, pairing, field, with_generators):
             for owner, coeff in pairing.row_coefficients[i].items():
                 _add_multiple(chain, coeff, basis_n.cycles[owner], field)
             lifted = lift_cycle(chain, X, field)
-            # the paired owner keeps the minimal weight in the combination
+            # the paired owner, in its own cycle alone at the nonzero pivot
+            # entry, keeps the minimal weight: its lifted exponent is zero
             kappa = pairing.pairs[i].kappa
-            if min(X.weight(s) for s in lifted.terms) != X.weight(kappa):
+            if lifted.terms[kappa][0][0] != 0:
                 raise ComplexError(
                     f"torsion generator of {{{' '.join(kappa)}}} is lighter than its owner: "
                     "weights must not increase from a face to its coface"
@@ -322,7 +324,7 @@ def homology(
     """H_n of the weighted complex as a module over F[[pi]]."""
     if n < 0:
         raise DimensionOutOfRange(n)
-    basis_n = cycle_basis(X, n, field)
+    basis_n, _taken = _reduce(X, n, X.n_simplices(n - 1)[::-1], field, with_generators)
     pairing = simplex_pairing(X, n, basis_n, field)
     return _module_from_pairing(X, n, basis_n, pairing, field, with_generators)
 

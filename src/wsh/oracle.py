@@ -217,7 +217,8 @@ def homology_via_snf(X: WeightedComplex, n: int, field: FieldSpec, known=None):
 
     Invariant factors of d_n and d_(n+1) over the series ring, read as in
     the module notes: the free rank is m - rank d_n - rank d_(n+1), and the
-    torsion is the nonunit invariant factors of d_(n+1).
+    torsion is the nonunit invariant factors of d_(n+1). Each map is built
+    by weighted_boundary_matrix at its default precision, choose_precision.
 
     known, if given, is a dict owned by the caller that maps k to the
     snf_valuations of d_k for this one X and field; it is read first and
@@ -230,10 +231,9 @@ def homology_via_snf(X: WeightedComplex, n: int, field: FieldSpec, known=None):
     if m == 0:
         return 0, []
     known = {} if known is None else known
-    N = choose_precision(X)
     for k in (n, n + 1):
         if 1 <= k <= X.dim and k not in known:
-            known[k] = snf_valuations(weighted_boundary_matrix(X, k, field, N))
+            known[k] = snf_valuations(weighted_boundary_matrix(X, k, field))
     r = len(known[n]) if n >= 1 else 0
     vals = known[n + 1] if n < X.dim else []
     return m - r - len(vals), [v for v in vals if v >= 1]

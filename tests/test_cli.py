@@ -4,6 +4,7 @@ import json
 import random
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -263,9 +264,18 @@ def test_maximal_mode_through_cli(tmp_path, capsys):
 
 
 def test_dim_beyond_complex(tetra_file, capsys):
-    assert main(["--dim", "5", tetra_file]) == 0
-    out = capsys.readouterr().out
-    assert "H_5 = 0" in out
+    # a dimension past the complex has no simplices: answered at once,
+    # without walking the dimensions up to it
+    for flags in (
+        ["--dim", "5"],
+        ["--dim", "1000000000"],
+        ["--dim", "1000000000", "--check", "--generators"],
+    ):
+        start = time.perf_counter()
+        assert main([*flags, tetra_file]) == 0, flags
+        assert time.perf_counter() - start < 1.0, flags
+        out = capsys.readouterr().out
+        assert f"H_{flags[1]} = 0" in out.splitlines(), flags
 
 
 def test_huge_record_exits_2_without_enumerating(tmp_path, monkeypatch, capsys):

@@ -19,6 +19,7 @@ from wsh.errors import (
     InvalidSimplex,
     MissingFace,
     MonotonicityViolation,
+    SimplexTooLarge,
 )
 from wsh.fields import FieldSpec
 from .conftest import random_weighted_complex, tetra_boundary_complex, torus_grid_complex
@@ -115,6 +116,53 @@ def test_from_maximal_matches_reference_closure(d):
 def test_from_maximal_empty():
     with pytest.raises(EmptyInput):
         from_maximal([], 0)
+
+
+_TOO_LARGE = tuple(f"x{i:02d}" for i in range(21))
+
+
+@pytest.mark.parametrize(
+    "tops, w, error, message",
+    [
+        ([], 0, EmptyInput, "no simplices given"),
+        ([], -1, EmptyInput, "no simplices given"),
+        ([("b", "a")], -1, ValueError, "weight of {a b} must be a non-negative integer, got -1"),
+        ([("b", "a")], True, ValueError, "weight of {a b} must be a non-negative integer, got True"),
+        ([("b", "a")], 1.5, ValueError, "weight of {a b} must be a non-negative integer, got 1.5"),
+        # the weight is reported against the first record
+        (
+            [("b", "a"), ("c", "d")],
+            -1,
+            ValueError,
+            "weight of {a b} must be a non-negative integer, got -1",
+        ),
+        ([("a", "a", "b")], 0, InvalidSimplex, "repeated vertex in simplex {a a b}"),
+        # every record is read before the weight is checked
+        ([("a", "b"), ("c", "c")], -1, InvalidSimplex, "repeated vertex in simplex {c c}"),
+        (
+            [("a", "b"), _TOO_LARGE],
+            True,
+            SimplexTooLarge,
+            "simplex with 21 vertices would have 2097151 faces; "
+            "filling in faces takes at most 20 vertices (1048575 faces)",
+        ),
+    ],
+)
+def test_from_maximal_errors_pin_type_and_message(tops, w, error, message):
+    with pytest.raises(error) as ei:
+        from_maximal(tops, w)
+    assert type(ei.value) is error
+    assert str(ei.value) == message
+
+
+def test_from_maximal_merges_repeated_and_nested_tops():
+    triangle = from_maximal([("a", "b", "c")], 2)
+    # a top repeated in another order is merged, not refused
+    assert from_maximal([("a", "b", "c"), ("c", "a", "b")], 2) == triangle
+    # a top that is a face of another top adds nothing
+    assert from_maximal([("a", "b"), ("a", "b", "c")], 2) == triangle
+    assert from_maximal([("a", "b", "c"), ("b", "c")], 2) == triangle
+    assert len(triangle) == 7
 
 
 def test_complete_faces_single_coface():

@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from wsh.complexes import build_complex, from_maximal
 from wsh.errors import DimensionOutOfRange, MismatchedDimensions, ZeroChain
 from wsh.homology import cycle_basis, homology, homology_all, lift_cycle
 from .conftest import RATIONALS as Q
-from .conftest import GF2
+from .conftest import GF2, torus_grid_complex
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -186,6 +187,30 @@ def test_homology_all_consistent_with_single_calls(glued_triangles):
     for m in mods:
         single = homology(glued_triangles, m.n, Q)
         assert (single.free_rank, single.torsion) == (m.free_rank, m.torsion)
+
+
+@pytest.mark.parametrize("field", [Q, GF2], ids=lambda f: f.name)
+def test_single_dimension_carries_chains_only_for_generators(monkeypatch, field):
+    # homology(X, n) reduces d_n itself, carrying the cycle chains exactly
+    # when generators are asked for; the module is the same either way
+    calls = []
+    reduce = wsh.homology._reduce
+
+    def spy(X, n, rows, field, with_cycles):
+        calls.append((n, with_cycles))
+        return reduce(X, n, rows, field, with_cycles)
+
+    monkeypatch.setattr(wsh.homology, "_reduce", spy)
+    X = torus_grid_complex(6, random.Random(6))
+    modules = []
+    for gens in (False, True):
+        calls.clear()
+        modules.append(homology(X, 1, field, with_generators=gens))
+        assert [c for c in calls if c[0] == 1] == [(1, gens)]
+    plain, full = modules
+    assert plain.generators is None and full.generators is not None
+    assert (plain.free_rank, plain.torsion) == (full.free_rank, full.torsion)
+    assert plain.pairing.pairs == full.pairing.pairs
 
 
 def test_wsh_homology_is_the_module():

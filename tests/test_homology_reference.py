@@ -88,12 +88,13 @@ def _differences(X, field):
     for n in range(X.dim + 2):
         if _basis(cycle_basis(X, n, field)) != _basis(ref.cycle_basis(X, n, field)):
             bad.append(f"cycle_basis n={n}")
-        new_mod = homology(X, n, field, with_generators=True)
-        ref_mod = ref.homology(X, n, field, with_generators=True)
-        if _pairing(new_mod.pairing) != _pairing(ref_mod.pairing):
-            bad.append(f"homology n={n} pairing")
-        if _reports([new_mod], field) != _reports([ref_mod], field):
-            bad.append(f"homology n={n} reports")
+        for gens in (True, False):
+            new_mod = homology(X, n, field, with_generators=gens)
+            ref_mod = ref.homology(X, n, field, with_generators=gens)
+            if _pairing(new_mod.pairing) != _pairing(ref_mod.pairing):
+                bad.append(f"homology n={n} pairing (generators={gens})")
+            if _reports([new_mod], field) != _reports([ref_mod], field):
+                bad.append(f"homology n={n} reports (generators={gens})")
     return bad
 
 
