@@ -236,7 +236,9 @@ class BoundaryMatrix:
     complex's lexicographic order. Each column holds (row index, sign,
     exponent) triples; the exponent is weight(face) - weight(simplex),
     always non-negative by monotonicity. Dropping the exponents gives the
-    ordinary boundary matrix over a coefficient field.
+    ordinary boundary matrix over a coefficient field. In the library only
+    the --check oracle (wsh.oracle) builds one: the fast path reads each
+    column off the faces of its simplex instead.
     """
 
     n: int
@@ -251,7 +253,8 @@ def boundary_exponent_matrix(X: WeightedComplex, n: int) -> BoundaryMatrix:
     Column j lists the faces of the j-th n-simplex s in signed_faces order:
     the i-th triple drops the i-th smallest vertex of s, has sign (-1)^i
     and exponent weight(face) - weight(s). Each face costs one lookup in a
-    map of the (n-1)-simplices to their row index and weight.
+    map of the (n-1)-simplices to their row index and weight. The oracle's
+    weighted_boundary_matrix is the one caller in the library.
     """
     if n < 1 or n > X.dim:
         raise DimensionOutOfRange(n, f"boundary defined for 1 <= n <= {X.dim}, got {n}")

@@ -9,10 +9,12 @@ makes it a boundary. Bars of length 0 vanish from the module, and owners
 that never die give the free summands.
 
 Every boundary map is reduced once, by one sparse column reduction
-(_reduce) over {position: scalar} vectors. It takes the boundary columns
-of the n-simplices in processing order, decreasing weight with ties in
-ascending lexicographic order, keeps only their entries on a given list
-of rows, and pivots each column on its smallest position in that list.
+(_reduce) over {position: scalar} vectors. It takes the n-simplices in
+processing order, decreasing weight with ties in ascending lexicographic
+order, and reads each boundary column straight off the simplex's faces,
+one lookup per face in the map of a given list of rows; faces off the
+list are dropped, and no boundary matrix is built. Each column pivots on
+its smallest position in that list.
 A column that reduces to zero marks a dependent simplex, and the chain
 whose boundary it was becomes that simplex's cycle: the owner has
 coefficient one and minimal weight, and no other dependent simplex
@@ -49,7 +51,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .complexes import WeightedComplex, boundary_exponent_matrix
+# boundary_exponent_matrix is not called here; it stays bound for
+# perfbench/tracing.py, which looks it up through this module
+from .complexes import WeightedComplex, boundary_exponent_matrix  # noqa: F401
 from .errors import ComplexError, DimensionOutOfRange, MismatchedDimensions, ZeroChain
 from .fields import FieldSpec
 
@@ -148,25 +152,31 @@ def _add_multiple(target, factor, source, field):
 
 
 def _processing_order(X, n):
-    # decreasing weight, ties ascending lexicographic
-    weights = X._weights
-    return sorted(X.n_simplices(n), key=lambda s: (-weights[s], s))
+    # decreasing weight, ties ascending lexicographic: n_simplices is
+    # lexicographic, and a reversed sort is still stable
+    return sorted(X.n_simplices(n), key=X._weights.__getitem__, reverse=True)
 
 
 def _reduce(X, n, rows, field, with_cycles):
     """Reduce the boundary columns of the n-simplices, restricted to rows.
 
-    Columns are taken in processing order and keep only their entries on
-    rows; each pivots on its smallest position in rows. Returns the split
-    of the n-simplices as a CycleBasis, with cycles only when with_cycles
-    is set (no chains are carried otherwise), and a dict mapping each
-    pivot position to (independent simplex that took it, its pivot entry,
-    the rest of its column and its chain at that moment, negated inverse
-    of the pivot entry), the rest as {position: scalar} over positions
-    past the pivot. A later column with entry c at that pivot adds c times
-    the negated inverse times the stored column, which cancels c exactly:
-    the step pops c and adds only the rest. For n = 0 the boundary is zero,
-    and every vertex is dependent and owns the one-term cycle of itself.
+    Columns are taken in processing order. Each is read off its simplex s:
+    the i-th face s[:i] + s[i+1:], with sign (-1)^i, is looked up in the
+    {row simplex: position} map of rows and kept when found there. Every
+    face must be in the complex, as WeightedComplex assumes: a face
+    missing from it would be read as one off the rows. Each column pivots
+    on its smallest position in rows.
+
+    Returns the split of the n-simplices as a CycleBasis, with cycles only
+    when with_cycles is set (no chains are carried otherwise), and a dict
+    mapping each pivot position to (independent simplex that took it, its
+    pivot entry, the rest of its column and its chain at that moment,
+    negated inverse of the pivot entry), the rest as {position: scalar}
+    over positions past the pivot. A later column with entry c at that
+    pivot adds c times the negated inverse times the stored column, which
+    cancels c exactly: the step pops c and adds only the rest. For n = 0
+    the boundary is zero, and every vertex is dependent and owns the
+    one-term cycle of itself.
     """
     if not X.n_simplices(n):
         return CycleBasis(n, [], [], {}), {}
@@ -174,20 +184,20 @@ def _reduce(X, n, rows, field, with_cycles):
     if n == 0:
         cycles = {v: {v: field.one()} for v in order} if with_cycles else {}
         return CycleBasis(0, order, [], cycles), {}
-    bm = boundary_exponent_matrix(X, n)
     position = {s: k for k, s in enumerate(rows)}
-    row_pos = [position.get(s) for s in bm.row_simplices]
-    columns = dict(zip(bm.col_simplices, bm.columns))
-    scalar = {1: field.from_int(1), -1: field.from_int(-1)}
+    # the i-th face drops the i-th smallest vertex and has sign (-1)^i
+    plus, minus = field.from_int(1), field.from_int(-1)
+    drops = [(i, plus if i % 2 == 0 else minus) for i in range(n + 1)]
     mul, add, is_zero = field.mul, field.add, field.is_zero
     # chains are keyed by position in the processing order
     reduced = {}
     dependent, independent, cycles = [], [], {}
     for i, s in enumerate(order):
         column = {}
-        for r, sign, _exp in columns[s]:
-            if row_pos[r] is not None:
-                column[row_pos[r]] = scalar[sign]
+        for d, sign in drops:
+            k = position.get(s[:d] + s[d + 1 :])
+            if k is not None:
+                column[k] = sign
         chain = {i: field.one()} if with_cycles else {}
         while column:
             pivot = min(column)
@@ -267,9 +277,12 @@ def simplex_pairing(
     increasing weight (ties lexicographic): each independent (n+1)-simplex
     is paired with the owner its column pivots on. The same pass splits
     the (n+1)-simplices, with their cycles when with_cycles is set.
+    basis_n.dependent must come in processing order, as _reduce gives it.
     """
     weights = X._weights
-    owners = sorted(basis_n.dependent, key=lambda s: (weights[s], s))
+    # dependent comes in processing order, so the stable sort by weight
+    # alone breaks ties lexicographically
+    owners = sorted(basis_n.dependent, key=weights.__getitem__)
     up, taken = _reduce(X, n + 1, owners, field, with_cycles)
     pairs, unpaired, row_coeffs = [], [], []
     for k, kappa in enumerate(owners):

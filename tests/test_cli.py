@@ -13,11 +13,15 @@ from hypothesis import strategies as st
 
 import wsh.cli
 import wsh.complexes
+import wsh.homology
 import wsh.oracle
 from wsh.errors import ComplexError, PrecisionExhausted
 from wsh.cli import main
+from wsh.homology import homology, homology_all
 from .conftest import (
+    GF2,
     NOT_LINE_BREAKS,
+    RATIONALS,
     glued_triangles_complex,
     random_weighted_complex,
     simplex_boundary_maximal,
@@ -144,6 +148,31 @@ def test_check_builds_and_eliminates_each_boundary_once(text, tmp_path, monkeypa
     dim = len(report.splitlines()) - 2  # a field line, then H_0 to H_dim
     assert [k for k, _m in built] == list(range(1, dim + 1))
     assert eliminated == list(range(1, dim + 1))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF2], ids=lambda f: f.name)
+def test_fast_path_builds_no_boundary_matrix(field, tmp_path, monkeypatch, capsys):
+    # the fast path reads each column off the faces; only the oracle builds
+    # a BoundaryMatrix, once per map under --check
+    built = {"homology": 0, "oracle": 0}
+    for name in built:
+        module = getattr(wsh, name)
+
+        def spy(X, n, name=name, build=module.boundary_exponent_matrix):
+            built[name] += 1
+            return build(X, n)
+
+        monkeypatch.setattr(module, "boundary_exponent_matrix", spy)
+    X = torus_grid_complex(6, random.Random(6))
+    for gens in (False, True):
+        homology_all(X, field, with_generators=gens)
+        for n in range(X.dim + 1):
+            homology(X, n, field, with_generators=gens)
+    assert built == {"homology": 0, "oracle": 0}
+    p = tmp_path / "torus6.cplx"
+    p.write_text(serialize_complex(X))
+    assert main(["--field", field.name, "--check", "--generators", str(p)]) == 0
+    assert built == {"homology": 0, "oracle": X.dim}
 
 
 def test_check_failure_names_the_first_module_that_needs_the_map(tetra_file, monkeypatch, capsys):

@@ -14,7 +14,7 @@ from wsh.complexes import build_complex, from_maximal
 from wsh.errors import DimensionOutOfRange, MismatchedDimensions, ZeroChain
 from wsh.homology import cycle_basis, homology, homology_all, lift_cycle
 from .conftest import RATIONALS as Q
-from .conftest import GF2, torus_grid_complex
+from .conftest import GF2, random_weighted_complex, torus_grid_complex
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -266,3 +266,31 @@ def test_negative_pair_exponent_raises_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("raised:") and "negative exponent -4" in done.stdout
+
+
+def _tied_complexes():
+    # weights 0-1 make ties the rule, so every order below leans on its tie-break
+    rng = random.Random(19)
+    yield from (random_weighted_complex(rng, max_weight=1) for _ in range(60))
+    yield torus_grid_complex(6, random.Random(6))
+
+
+def test_processing_and_owner_orders_break_ties_lexicographically():
+    # columns come by decreasing weight and cycle owners by increasing
+    # weight, ties ascending lexicographic in both; pairs, unpaired owners
+    # and each pair's column at pivot time follow the owner order
+    for X in _tied_complexes():
+        w = X._weights
+        modules = homology_all(X, Q)
+        basis = cycle_basis(X, 0, Q)
+        for n in range(X.dim + 1):
+            order = wsh.homology._processing_order(X, n)
+            assert order == sorted(X.n_simplices(n), key=lambda s: (-w[s], s))
+            owners = sorted(basis.dependent, key=lambda s: (w[s], s))
+            for pairing in (modules[n].pairing, homology(X, n, Q).pairing):
+                paired = {p.kappa for p in pairing.pairs}
+                assert [p.kappa for p in pairing.pairs] == [s for s in owners if s in paired]
+                assert pairing.unpaired == [s for s in owners if s not in paired]
+                for coeffs in pairing.row_coefficients:
+                    assert list(coeffs) == [s for s in owners if s in coeffs]
+            basis = modules[n].pairing.up
