@@ -31,23 +31,8 @@ __all__ = [
     "build_complex",
     "from_maximal",
     "complete_faces",
-    "signed_faces",
     "boundary_exponent_matrix",
 ]
-
-
-def signed_faces(simplex):
-    """[(face, sign)] with the i-th vertex dropped and sign (-1)^i.
-
-    Vertices have zero boundary, so a 0-simplex yields the empty list.
-    """
-    if len(simplex) <= 1:
-        return []
-    out = []
-    for i in range(len(simplex)):
-        face = simplex[:i] + simplex[i + 1 :]
-        out.append((face, 1 if i % 2 == 0 else -1))
-    return out
 
 
 def _canonical_labels(vertices):
@@ -250,11 +235,11 @@ class BoundaryMatrix:
 def boundary_exponent_matrix(X: WeightedComplex, n: int) -> BoundaryMatrix:
     """The BoundaryMatrix of dimension n, for 1 <= n <= X.dim.
 
-    Column j lists the faces of the j-th n-simplex s in signed_faces order:
-    the i-th triple drops the i-th smallest vertex of s, has sign (-1)^i
-    and exponent weight(face) - weight(s). Each face costs one lookup in a
-    map of the (n-1)-simplices to their row index and weight. The oracle's
-    weighted_boundary_matrix is the one caller in the library.
+    Column j lists the n + 1 faces of the j-th n-simplex s by the vertex
+    they drop: the i-th triple drops the i-th smallest vertex of s, has
+    sign (-1)^i and exponent weight(face) - weight(s). Each face costs one
+    lookup in a map of the (n-1)-simplices to their row index and weight.
+    The oracle's weighted_boundary_matrix is the one caller in the library.
     """
     if n < 1 or n > X.dim:
         raise DimensionOutOfRange(n, f"boundary defined for 1 <= n <= {X.dim}, got {n}")

@@ -20,7 +20,11 @@ whose boundary it was becomes that simplex's cycle: the owner has
 coefficient one and minimal weight, and no other dependent simplex
 appears in it. The rest keep linearly independent boundary columns.
 Cycle coefficients over the independent simplices are unique, so the
-cycles depend neither on the rows kept nor on the pivot rule.
+cycles depend neither on the rows kept nor on the pivot rule. Without
+chains to carry, the reduction stops at its rank bound, one pivot per
+row, or per row but the last for edges, whose columns sum to zero over
+the vertices, all of which every caller gives as rows: the columns left
+would all reduce to zero, so their simplices are dependent.
 
 cycle_basis keeps every (n-1)-simplex, in descending lexicographic order;
 homology(X, n) reduces over the same rows, carrying the chains only for
@@ -165,7 +169,10 @@ def _reduce(X, n, rows, field, with_cycles):
     {row simplex: position} map of rows and kept when found there. Every
     face must be in the complex, as WeightedComplex assumes: a face
     missing from it would be read as one off the rows. Each column pivots
-    on its smallest position in rows.
+    on its smallest position in rows. Without chains, the loop stops once
+    the pivots reach the rank bound, len(rows), or len(rows) - 1 for n = 1,
+    where rows must be every vertex, so that a column, summing to zero,
+    never pivots on the last; the simplices left are dependent.
 
     Returns the split of the n-simplices as a CycleBasis, with cycles only
     when with_cycles is set (no chains are carried otherwise), and a dict
@@ -189,10 +196,16 @@ def _reduce(X, n, rows, field, with_cycles):
     plus, minus = field.from_int(1), field.from_int(-1)
     drops = [(i, plus if i % 2 == 0 else minus) for i in range(n + 1)]
     mul, add, is_zero = field.mul, field.add, field.is_zero
+    # once the bound is met every later column reduces to zero; only its
+    # chain, when carried, is left to compute
+    bound = None if with_cycles else len(rows) - (n == 1)
     # chains are keyed by position in the processing order
     reduced = {}
     dependent, independent, cycles = [], [], {}
     for i, s in enumerate(order):
+        if len(reduced) == bound:
+            dependent += order[i:]
+            break
         column = {}
         for d, sign in drops:
             k = position.get(s[:d] + s[d + 1 :])

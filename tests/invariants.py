@@ -6,7 +6,7 @@ invariant holds, so callers can aggregate or assert as they see fit.
 
 import random
 
-from wsh.complexes import boundary_exponent_matrix, build_complex, signed_faces
+from wsh.complexes import boundary_exponent_matrix, build_complex
 from wsh.errors import PrecisionExhausted
 from wsh.homology import cycle_basis, homology_all
 from wsh.oracle import (
@@ -17,6 +17,20 @@ from wsh.oracle import (
 )
 
 from .dense import Matrix, rank
+
+
+def signed_faces(simplex):
+    """[(face, sign)] with the i-th vertex dropped and sign (-1)^i.
+
+    Vertices have zero boundary, so a 0-simplex yields the empty list.
+    """
+    if len(simplex) <= 1:
+        return []
+    out = []
+    for i in range(len(simplex)):
+        face = simplex[:i] + simplex[i + 1 :]
+        out.append((face, 1 if i % 2 == 0 else -1))
+    return out
 
 
 def weighted_product_is_zero(left, right_rows):

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
-from wsh.complexes import WeightedComplex, boundary_exponent_matrix, signed_faces
+from wsh.complexes import WeightedComplex, boundary_exponent_matrix
 from wsh.errors import ComplexError, DimensionOutOfRange, MismatchedDimensions, ZeroChain
 from wsh.fields import FieldSpec
+
+from .invariants import signed_faces
 
 __all__ = [
     "CycleBasis",

@@ -10,7 +10,6 @@ from wsh.complexes import (
     build_complex,
     complete_faces,
     from_maximal,
-    signed_faces,
 )
 from wsh.errors import (
     DimensionOutOfRange,
@@ -24,6 +23,7 @@ from wsh.errors import (
 from wsh.fields import FieldSpec
 from .conftest import random_weighted_complex, tetra_boundary_complex, torus_grid_complex
 from .dense import Matrix
+from .invariants import signed_faces
 from .reference_complexes import _closure
 
 

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import os
 import pathlib
@@ -12,9 +13,12 @@ import pytest
 import wsh
 from wsh.complexes import build_complex, from_maximal
 from wsh.errors import DimensionOutOfRange, MismatchedDimensions, ZeroChain
+from wsh.fields import FieldSpec
 from wsh.homology import cycle_basis, homology, homology_all, lift_cycle
 from .conftest import RATIONALS as Q
 from .conftest import GF2, random_weighted_complex, torus_grid_complex
+
+GF5 = FieldSpec.prime_field(5)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -294,3 +298,69 @@ def test_processing_and_owner_orders_break_ties_lexicographically():
                 for coeffs in pairing.row_coefficients:
                     assert list(coeffs) == [s for s in owners if s in coeffs]
             basis = modules[n].pairing.up
+
+
+def _sphere(d):
+    # the `!maximal 0` boundary of the d-simplex
+    return from_maximal(itertools.combinations([f"v{i}" for i in range(d + 1)], d), 0)
+
+
+def _pivot_map(taken):
+    return {k: (s, c, rest, g) for k, (s, c, rest, _chain, g) in taken.items()}
+
+
+@pytest.mark.parametrize("field", [Q, GF2, GF5], ids=lambda f: f.name)
+def test_reduce_splits_and_pivots_the_same_with_and_without_chains(field):
+    # the chain-free reduction stops once every row that can be a pivot is
+    # one; what it returns must be what carrying the chains to the end gives
+    reduce = wsh.homology._reduce
+    rng = random.Random(20)
+    complexes = [random_weighted_complex(rng, max_weight=1) for _ in range(40)]
+    complexes += [_sphere(d) for d in range(2, 10)]
+    complexes += [
+        torus_grid_complex(6, random.Random(6)),
+        build_complex([(("a",), 1), (("b",), 1), (("a", "b"), 0)]),
+        # H_0 has free rank 2, so the edges never reach their bound
+        from_maximal([("a", "b"), ("a", "c"), ("b", "c"), ("d", "e"), ("d", "f"), ("e", "f")], 0),
+    ]
+    cases = [(from_maximal([("a", "b", "c", "d")], 0), n, []) for n in (2, 3)]
+    for X in complexes:
+        weights = X._weights
+        basis = cycle_basis(X, 0, field)
+        for n in range(1, X.dim + 1):
+            cases.append((X, n, X.n_simplices(n - 1)[::-1]))
+            owners = sorted(basis.dependent, key=weights.__getitem__)
+            cases.append((X, n, owners))
+            basis = reduce(X, n, owners, field, True)[0]
+    stopped = 0
+    for X, n, rows in cases:
+        full, full_taken = reduce(X, n, rows, field, True)
+        plain, plain_taken = reduce(X, n, rows, field, False)
+        assert plain.dependent == full.dependent
+        assert plain.independent == full.independent
+        assert plain.cycles == {}
+        assert _pivot_map(plain_taken) == _pivot_map(full_taken)
+        if len(plain_taken) == len(rows) - (n == 1) and plain.dependent:
+            stopped += 1
+    assert stopped
+
+
+def test_homology_all_stops_each_chain_free_reduction_at_the_rank_bound():
+    # on the boundary of the 8-simplex every row of every map becomes a
+    # pivot early, and the columns left after that take no products
+    class CountingField(FieldSpec):
+        __slots__ = ("muls",)
+
+        def __init__(self, p):
+            super().__init__(p)
+            self.muls = 0
+
+        def mul(self, a, b):
+            self.muls += 1
+            return super().mul(a, b)
+
+    field = CountingField(2)
+    modules = homology_all(_sphere(8), field)
+    assert [(m.free_rank, m.torsion) for m in modules] == [(1, [])] + [(0, [])] * 6 + [(1, [])]
+    assert [len(m.pairing.pairs) for m in modules] == [8, 28, 56, 70, 56, 28, 8, 0]
+    assert field.muls == 56
