@@ -8,13 +8,13 @@ cycle owner kappa dies when the (n+1)-simplex mu, m weight steps lighter,
 makes it a boundary. Bars of length 0 vanish from the module, and owners
 that never die give the free summands.
 
-Every boundary map is reduced once, by one sparse column reduction
-(_reduce) over {position: scalar} vectors. It takes the n-simplices in
-processing order, decreasing weight with ties in ascending lexicographic
-order, and reads each boundary column straight off the simplex's faces,
-one lookup per face in the map of a given list of rows; faces off the
-list are dropped, and no boundary matrix is built. Each column pivots on
-its smallest position in that list.
+Every boundary map above the edges' is reduced once, by one sparse
+column reduction (_reduce) over {position: scalar} vectors. It takes the
+n-simplices in processing order, decreasing weight with ties in
+ascending lexicographic order, and reads each boundary column straight
+off the simplex's faces, one lookup per face in the map of a given list
+of rows; faces off the list are dropped, and no boundary matrix is
+built. Each column pivots on its smallest position in that list.
 A column that reduces to zero marks a dependent simplex, and the chain
 whose boundary it was becomes that simplex's cycle: the owner has
 coefficient one and minimal weight, and no other dependent simplex
@@ -22,9 +22,18 @@ appears in it. The rest keep linearly independent boundary columns.
 Cycle coefficients over the independent simplices are unique, so the
 cycles depend neither on the rows kept nor on the pivot rule. Without
 chains to carry, the reduction stops at its rank bound, one pivot per
-row, or per row but the last for edges, whose columns sum to zero over
-the vertices, all of which every caller gives as rows: the columns left
-would all reduce to zero, so their simplices are dependent.
+row: the columns left would all reduce to zero, so their simplices are
+dependent.
+
+The edges never reach _reduce: dimension 0 is a union-find over the
+vertices with the elder rule (_edge_forest), as in 0-dimensional
+persistence. An edge column has two entries, x and -x, and reducing it
+against a stored column moves an entry from that pivot to the stored
+partner, a later owner. So an edge is dependent exactly when its ends
+already share a tree, and its cycle is the edge plus the path between
+its ends in the forest of independent edges; any other edge pivots on
+the lighter of the two roots, each its tree's heaviest owner. That is
+what _reduce would give, with no field arithmetic.
 
 cycle_basis keeps every (n-1)-simplex, in descending lexicographic order;
 homology(X, n) reduces over the same rows, carrying the chains only for
@@ -170,9 +179,8 @@ def _reduce(X, n, rows, field, with_cycles):
     face must be in the complex, as WeightedComplex assumes: a face
     missing from it would be read as one off the rows. Each column pivots
     on its smallest position in rows. Without chains, the loop stops once
-    the pivots reach the rank bound, len(rows), or len(rows) - 1 for n = 1,
-    where rows must be every vertex, so that a column, summing to zero,
-    never pivots on the last; the simplices left are dependent.
+    the pivots reach the rank bound, len(rows); the simplices left are
+    dependent. The edges (n = 1) go to _edge_forest instead.
 
     Returns the split of the n-simplices as a CycleBasis, with cycles only
     when with_cycles is set (no chains are carried otherwise), and a dict
@@ -198,7 +206,7 @@ def _reduce(X, n, rows, field, with_cycles):
     mul, add, is_zero = field.mul, field.add, field.is_zero
     # once the bound is met every later column reduces to zero; only its
     # chain, when carried, is left to compute
-    bound = None if with_cycles else len(rows) - (n == 1)
+    bound = None if with_cycles else len(rows)
     # chains are keyed by position in the processing order
     reduced = {}
     dependent, independent, cycles = [], [], {}
@@ -250,13 +258,104 @@ def _reduce(X, n, rows, field, with_cycles):
     return CycleBasis(n, dependent, independent, cycles), reduced
 
 
+def _edge_forest(X, owners, field, with_cycles):
+    """Split the edges and pair the vertices by union-find: the elder rule.
+
+    owners must be every vertex, by increasing weight with ties
+    lexicographic, so each tree's root, its largest position, is its
+    heaviest owner. Edges come in processing order. One whose ends find
+    the same root is dependent; any other pivots on kappa, the smaller
+    root, and is stored as {kappa: c, y: -c}. y is the first vertex past
+    kappa on the walk up the stored partners from the other end, and c is
+    -1 when the end from the edge's first vertex reaches kappa, else +1.
+    Each step of _reduce(X, 1, owners, ...) moves the entry at the
+    lightest pivot to that pivot's partner, so this is its column at pivot
+    time. Only find compresses paths. Once all but one vertex are pivots,
+    the edges left are dependent. With cycles, a dependent edge owns
+    itself plus the +-1 path between its ends in the forest of
+    independent edges. Returns what _reduce does, with (edge, c, {y: -c})
+    at each pivot position.
+    """
+    order = _processing_order(X, 1)
+    position = {v: k for k, (v,) in enumerate(owners)}
+    plus, minus = field.from_int(1), field.from_int(-1)
+    parent = list(range(len(owners)))
+    partner, taken, tree = {}, {}, []
+    dependent, independent = [], []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for i, s in enumerate(order):
+        if len(taken) == len(owners) - 1:
+            dependent += order[i:]
+            break
+        a, b = position[s[0]], position[s[1]]
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            dependent.append(s)
+            continue
+        if ra < rb:
+            kappa, root, y, c, d = ra, rb, b, minus, plus
+        else:
+            kappa, root, y, c, d = rb, ra, a, plus, minus
+        while y < kappa:
+            y = partner[y]
+        partner[kappa] = y
+        parent[kappa] = root
+        taken[kappa] = (s, c, {y: d})
+        independent.append(s)
+        tree.append((i, a, b))
+    cycles = {}
+    if with_cycles:
+        # root each tree of independent edges anywhere: link[v] is v's parent,
+        # the edge to it, and the edge's coefficient going up and coming down
+        # (+1 up when v is the edge's first vertex)
+        adjacent = [[] for _ in owners]
+        for i, a, b in tree:
+            adjacent[a].append((b, i, minus, plus))
+            adjacent[b].append((a, i, plus, minus))
+        link, depth = [None] * len(owners), [0] * len(owners)
+        for top in range(len(owners)):
+            if link[top] is not None:
+                continue
+            stack = [top]
+            while stack:
+                v = stack.pop()
+                for w, i, up, down in adjacent[v]:
+                    if link[w] is None and w != top:
+                        link[w] = (v, i, up, down)
+                        depth[w] = depth[v] + 1
+                        stack.append(w)
+        one = field.one()
+        for s in dependent:
+            # the boundary is b - a: add the path from b up and down to a
+            a, b, path = position[s[0]], position[s[1]], {}
+            while a != b:
+                if depth[a] >= depth[b]:
+                    a, i, _up, path[i] = link[a]
+                else:
+                    b, i, path[i], _down = link[b]
+            cycles[s] = {s: one, **{order[i]: path[i] for i in sorted(path)}}
+    return CycleBasis(1, dependent, independent, cycles), taken
+
+
+def _split(X, n, field, with_cycles):
+    """Split of the n-simplices over all their faces."""
+    if n == 1:
+        vertices = sorted(X.n_simplices(0), key=X._weights.__getitem__)
+        return _edge_forest(X, vertices, field, with_cycles)[0]
+    # faces in descending lexicographic order: each column pivots on its last face
+    return _reduce(X, n, X.n_simplices(n - 1)[::-1], field, with_cycles)[0]
+
+
 def cycle_basis(X: WeightedComplex, n: int, field: FieldSpec) -> CycleBasis:
     """Kernel basis of the dimension-n boundary map, one cycle per dependent simplex."""
     if n < 0:
         raise DimensionOutOfRange(n)
-    # faces in descending lexicographic order: each column pivots on its last face
-    basis, _taken = _reduce(X, n, X.n_simplices(n - 1)[::-1], field, with_cycles=True)
-    return basis
+    return _split(X, n, field, with_cycles=True)
 
 
 def lift_cycle(chain: dict, X: WeightedComplex, field: FieldSpec) -> WeightedChain:
@@ -290,19 +389,23 @@ def simplex_pairing(
     increasing weight (ties lexicographic): each independent (n+1)-simplex
     is paired with the owner its column pivots on. The same pass splits
     the (n+1)-simplices, with their cycles when with_cycles is set.
-    basis_n.dependent must come in processing order, as _reduce gives it.
+    basis_n.dependent must come in processing order, as _reduce gives it;
+    for n = 0 that is every vertex, and _edge_forest does the reduction.
     """
     weights = X._weights
     # dependent comes in processing order, so the stable sort by weight
     # alone breaks ties lexicographically
     owners = sorted(basis_n.dependent, key=weights.__getitem__)
-    up, taken = _reduce(X, n + 1, owners, field, with_cycles)
+    if n == 0:
+        up, taken = _edge_forest(X, owners, field, with_cycles)
+    else:
+        up, taken = _reduce(X, n + 1, owners, field, with_cycles)
     pairs, unpaired, row_coeffs = [], [], []
     for k, kappa in enumerate(owners):
         if k not in taken:
             unpaired.append(kappa)
             continue
-        mu, c, rest, _chain, _g = taken[k]
+        mu, c, rest = taken[k][:3]
         m = weights[kappa] - weights[mu]
         if m < 0:
             raise ComplexError(
@@ -350,7 +453,7 @@ def homology(
     """H_n of the weighted complex as a module over F[[pi]]."""
     if n < 0:
         raise DimensionOutOfRange(n)
-    basis_n, _taken = _reduce(X, n, X.n_simplices(n - 1)[::-1], field, with_generators)
+    basis_n = _split(X, n, field, with_generators)
     pairing = simplex_pairing(X, n, basis_n, field)
     return _module_from_pairing(X, n, basis_n, pairing, field, with_generators)
 

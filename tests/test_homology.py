@@ -195,22 +195,28 @@ def test_homology_all_consistent_with_single_calls(glued_triangles):
 
 @pytest.mark.parametrize("field", [Q, GF2], ids=lambda f: f.name)
 def test_single_dimension_carries_chains_only_for_generators(monkeypatch, field):
-    # homology(X, n) reduces d_n itself, carrying the cycle chains exactly
-    # when generators are asked for; the module is the same either way
+    # homology(X, 1) splits the edges itself, in the union-find forest,
+    # carrying the cycle chains exactly when generators are asked for; the
+    # module is the same either way, and _reduce never sees the edges
     calls = []
-    reduce = wsh.homology._reduce
+    reduce, forest = wsh.homology._reduce, wsh.homology._edge_forest
 
-    def spy(X, n, rows, field, with_cycles):
+    def reduce_spy(X, n, rows, field, with_cycles):
         calls.append((n, with_cycles))
         return reduce(X, n, rows, field, with_cycles)
 
-    monkeypatch.setattr(wsh.homology, "_reduce", spy)
+    def forest_spy(X, owners, field, with_cycles):
+        calls.append((1, with_cycles))
+        return forest(X, owners, field, with_cycles)
+
+    monkeypatch.setattr(wsh.homology, "_reduce", reduce_spy)
+    monkeypatch.setattr(wsh.homology, "_edge_forest", forest_spy)
     X = torus_grid_complex(6, random.Random(6))
     modules = []
     for gens in (False, True):
         calls.clear()
         modules.append(homology(X, 1, field, with_generators=gens))
-        assert [c for c in calls if c[0] == 1] == [(1, gens)]
+        assert calls == [(1, gens), (2, False)]
     plain, full = modules
     assert plain.generators is None and full.generators is not None
     assert (plain.free_rank, plain.torsion) == (full.free_rank, full.torsion)
@@ -340,14 +346,15 @@ def test_reduce_splits_and_pivots_the_same_with_and_without_chains(field):
         assert plain.independent == full.independent
         assert plain.cycles == {}
         assert _pivot_map(plain_taken) == _pivot_map(full_taken)
-        if len(plain_taken) == len(rows) - (n == 1) and plain.dependent:
+        if len(plain_taken) == len(rows) and plain.dependent:
             stopped += 1
     assert stopped
 
 
 def test_homology_all_stops_each_chain_free_reduction_at_the_rank_bound():
     # on the boundary of the 8-simplex every row of every map becomes a
-    # pivot early, and the columns left after that take no products
+    # pivot early, and the columns left after that take no products; the
+    # edges go to the union-find forest, which takes none at all
     class CountingField(FieldSpec):
         __slots__ = ("muls",)
 
@@ -363,4 +370,4 @@ def test_homology_all_stops_each_chain_free_reduction_at_the_rank_bound():
     modules = homology_all(_sphere(8), field)
     assert [(m.free_rank, m.torsion) for m in modules] == [(1, [])] + [(0, [])] * 6 + [(1, [])]
     assert [len(m.pairing.pairs) for m in modules] == [8, 28, 56, 70, 56, 28, 8, 0]
-    assert field.muls == 56
+    assert field.muls == 0
