@@ -33,21 +33,26 @@ partner, a later owner. So an edge is dependent exactly when its ends
 already share a tree, and its cycle is the edge plus the path between
 its ends in the forest of independent edges; any other edge pivots on
 the lighter of the two roots, each its tree's heaviest owner. That is
-what _reduce would give, with no field arithmetic.
+what _reduce would give, with no field arithmetic. No edge chain is
+carried: an edge cycle is fixed by its owner coordinates, and _pusher
+builds it from them alone, pushing their vertex demand up the rooted
+forest, so its work follows the size of the cycle it returns. Every H_1
+generator, and every cycle of cycle_basis(X, 1), comes from that push.
 
 cycle_basis keeps every (n-1)-simplex, in descending lexicographic order;
-homology(X, n) reduces over the same rows, carrying the chains only for
-generators. simplex_pairing reduces the boundary of the (n+1)-simplices
-over the owners of the dimension-n cycles alone, by increasing weight,
-and so gets the pairs and the split of the (n+1)-simplices from one pass;
-homology_all walks up the dimensions this way. Keeping only owner rows
-is exact: each owner lies in its own cycle alone, so an n-cycle is fixed
-by its owner coordinates, and the coordinate of a boundary on a cycle is
-the signed incidence number of its owner. An independent (n+1)-simplex
-mu whose column pivots on owner kappa is paired with it, and the weight
-drop kappa -> mu is the bar length. Its column at pivot time, kept
-unscaled, expresses the boundary of a chain ending in mu over the
-cycles, and drives the torsion generator of the pair.
+homology(X, n) reduces over the same rows, carrying the chains (for the
+edges, rooting the forest) only for generators. simplex_pairing reduces
+the boundary of the (n+1)-simplices over the owners of the dimension-n
+cycles alone, by increasing weight, and so gets the pairs and the split
+of the (n+1)-simplices from one pass; homology_all walks up the
+dimensions this way. Keeping only owner rows is exact: each owner lies
+in its own cycle alone, so an n-cycle is fixed by its owner coordinates,
+and the coordinate of a boundary on a cycle is the signed incidence
+number of its owner. An independent (n+1)-simplex mu whose column
+pivots on owner kappa is paired with it, and the weight drop kappa -> mu
+is the bar length. Its column at pivot time, kept unscaled, expresses
+the boundary of a chain ending in mu over the cycles, and drives the
+torsion generator of the pair.
 
 These are the pairs and columns of the row elimination that scans the
 owners by increasing weight, lets each take the first live image, by
@@ -62,6 +67,7 @@ the row is exactly the column this reduction has at pivot time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from typing import NamedTuple
 
 # boundary_exponent_matrix is not called here; it stays bound for
@@ -91,13 +97,18 @@ class CycleBasis:
     independent: simplices whose boundary columns are linearly independent.
     cycles: owner simplex -> cycle as a {simplex: coefficient} chain; the
     owner has coefficient one and minimal weight within the support. Left
-    empty by a reduction that carries no chains.
+    empty by a reduction that carries no chains, and by the edge pass
+    (_edge_forest), which roots the forest of independent edges instead
+    (_forest, None unless asked for): each edge cycle is pushed out of it
+    from its owner coordinates when it is needed (_pusher), as
+    cycle_basis(X, 1) does for every dependent edge.
     """
 
     n: int
     dependent: list
     independent: list
     cycles: dict
+    _forest: tuple | None = dataclass_field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -258,7 +269,7 @@ def _reduce(X, n, rows, field, with_cycles):
     return CycleBasis(n, dependent, independent, cycles), reduced
 
 
-def _edge_forest(X, owners, field, with_cycles):
+def _edge_forest(X, owners, field, rooted):
     """Split the edges and pair the vertices by union-find: the elder rule.
 
     owners must be every vertex, by increasing weight with ties
@@ -271,10 +282,15 @@ def _edge_forest(X, owners, field, with_cycles):
     Each step of _reduce(X, 1, owners, ...) moves the entry at the
     lightest pivot to that pivot's partner, so this is its column at pivot
     time. Only find compresses paths. Once all but one vertex are pivots,
-    the edges left are dependent. With cycles, a dependent edge owns
-    itself plus the +-1 path between its ends in the forest of
-    independent edges. Returns what _reduce does, with (edge, c, {y: -c})
-    at each pivot position.
+    the edges left are dependent. Returns what _reduce does, with
+    (edge, c, {y: -c}) at each pivot position, but never cycles: when
+    rooted is set, the basis carries the forest of independent edges
+    instead, each tree rooted at its lightest vertex, and _pusher builds any
+    edge cycle from it. The forest is (order, rank, link): the edges in
+    processing order; vertex label -> rank, every vertex ranked after its
+    parent; and by rank, None at a root, else the parent's rank, the
+    position in order of the edge to it and that edge's coefficient going
+    up (+1 when the vertex is the edge's first).
     """
     order = _processing_order(X, 1)
     position = {v: k for k, (v,) in enumerate(owners)}
@@ -308,42 +324,80 @@ def _edge_forest(X, owners, field, with_cycles):
         taken[kappa] = (s, c, {y: d})
         independent.append(s)
         tree.append((i, a, b))
-    cycles = {}
-    if with_cycles:
-        # root each tree of independent edges anywhere: link[v] is v's parent,
-        # the edge to it, and the edge's coefficient going up and coming down
-        # (+1 up when v is the edge's first vertex)
+    forest = None
+    if rooted:
+        # rank each tree from its first owner outwards; a vertex reached
+        # from its edge's first vertex is that edge's second, so goes up -1
         adjacent = [[] for _ in owners]
         for i, a, b in tree:
-            adjacent[a].append((b, i, minus, plus))
-            adjacent[b].append((a, i, plus, minus))
-        link, depth = [None] * len(owners), [0] * len(owners)
+            adjacent[a].append((b, i, minus))
+            adjacent[b].append((a, i, plus))
+        rank, link = [None] * len(owners), []
         for top in range(len(owners)):
-            if link[top] is not None:
+            if rank[top] is not None:
                 continue
+            rank[top] = len(link)
+            link.append(None)
             stack = [top]
             while stack:
                 v = stack.pop()
-                for w, i, up, down in adjacent[v]:
-                    if link[w] is None and w != top:
-                        link[w] = (v, i, up, down)
-                        depth[w] = depth[v] + 1
+                for w, i, up in adjacent[v]:
+                    if rank[w] is None:
+                        rank[w] = len(link)
+                        link.append((rank[v], i, up))
                         stack.append(w)
-        one = field.one()
-        for s in dependent:
-            # the boundary is b - a: add the path from b up and down to a
-            a, b, path = position[s[0]], position[s[1]], {}
-            while a != b:
-                if depth[a] >= depth[b]:
-                    a, i, _up, path[i] = link[a]
-                else:
-                    b, i, path[i], _down = link[b]
-            cycles[s] = {s: one, **{order[i]: path[i] for i in sorted(path)}}
-    return CycleBasis(1, dependent, independent, cycles), taken
+        forest = (order, {v: rank[k] for v, k in position.items()}, link)
+    return CycleBasis(1, dependent, independent, {}, forest), taken
+
+
+def _pusher(forest, field):
+    """The map from owner coordinates, {dependent edge: scalar}, to their edge cycle.
+
+    Each owner edge (a, b) with coefficient c puts its boundary on the
+    vertices: demand c at b and -c at a. Vertices are taken children first,
+    by decreasing rank. One with demand d gives the edge to its parent the
+    coefficient up * d, which cancels d, and adds d to its parent's demand;
+    a demand that is zero stops there. A chain of tree edges is fixed by its
+    boundary, so this is the cycle, and the work follows its size. The
+    cycle lists the owner part first, then the tree edges by processing
+    position.
+    """
+    from heapq import heapify, heappop, heappush  # only generators need a heap
+
+    order, rank, link = forest
+    add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
+
+    def push(part):
+        demand = {}
+        for (a, b), c in part.items():
+            for v, d in ((rank[b], c), (rank[a], neg(c))):
+                demand[v] = add(demand[v], d) if v in demand else d
+        # ranks negated: heapq pops the smallest
+        heap = [-v for v in demand]
+        heapify(heap)
+        tree = {}
+        while heap:
+            v = -heappop(heap)
+            d = demand.pop(v)
+            if is_zero(d):
+                continue
+            up_rank, i, up = link[v]
+            tree[i] = mul(up, d)
+            if up_rank in demand:
+                demand[up_rank] = add(demand[up_rank], d)
+            else:
+                demand[up_rank] = d
+                heappush(heap, -up_rank)
+        return {**part, **{order[i]: tree[i] for i in sorted(tree)}}
+
+    return push
 
 
 def _split(X, n, field, with_cycles):
-    """Split of the n-simplices over all their faces."""
+    """Split of the n-simplices over all their faces.
+
+    For the edges, with_cycles roots the forest rather than building cycles.
+    """
     if n == 1:
         vertices = sorted(X.n_simplices(0), key=X._weights.__getitem__)
         return _edge_forest(X, vertices, field, with_cycles)[0]
@@ -355,7 +409,11 @@ def cycle_basis(X: WeightedComplex, n: int, field: FieldSpec) -> CycleBasis:
     """Kernel basis of the dimension-n boundary map, one cycle per dependent simplex."""
     if n < 0:
         raise DimensionOutOfRange(n)
-    return _split(X, n, field, with_cycles=True)
+    basis = _split(X, n, field, with_cycles=True)
+    if n == 1:
+        push, one = _pusher(basis._forest, field), field.one()
+        basis.cycles = {s: push({s: one}) for s in basis.dependent}
+    return basis
 
 
 def lift_cycle(chain: dict, X: WeightedComplex, field: FieldSpec) -> WeightedChain:
@@ -390,7 +448,9 @@ def simplex_pairing(
     is paired with the owner its column pivots on. The same pass splits
     the (n+1)-simplices, with their cycles when with_cycles is set.
     basis_n.dependent must come in processing order, as _reduce gives it;
-    for n = 0 that is every vertex, and _edge_forest does the reduction.
+    for n = 0 that is every vertex, and _edge_forest does the reduction;
+    with_cycles then roots the forest of independent edges instead of
+    carrying cycles.
     """
     weights = X._weights
     # dependent comes in processing order, so the stable sort by weight
@@ -427,14 +487,22 @@ def _module_from_pairing(X, n, basis_n, pairing, field, with_generators):
     torsion = [pairing.pairs[i].m for i in torsion_pairs]
     generators = None
     if with_generators:
-        generators = []
-        for kappa in pairing.unpaired:
-            generators.append(lift_cycle(basis_n.cycles[kappa], X, field))
+        # the cycle fixed by owner coordinates: a vertex is its own cycle, an
+        # edge cycle is pushed out of the forest, and a higher one is summed
+        if n == 0:
+            chain_of = dict
+        elif n == 1:
+            chain_of = _pusher(basis_n._forest, field)
+        else:
+            def chain_of(part):
+                chain = {}
+                for owner, coeff in part.items():
+                    _add_multiple(chain, coeff, basis_n.cycles[owner], field)
+                return chain
+        one = field.one()
+        generators = [lift_cycle(chain_of({kappa: one}), X, field) for kappa in pairing.unpaired]
         for i in torsion_pairs:
-            chain = {}
-            for owner, coeff in pairing.row_coefficients[i].items():
-                _add_multiple(chain, coeff, basis_n.cycles[owner], field)
-            lifted = lift_cycle(chain, X, field)
+            lifted = lift_cycle(chain_of(pairing.row_coefficients[i]), X, field)
             # the paired owner, in its own cycle alone at the nonzero pivot
             # entry, keeps the minimal weight: its lifted exponent is zero
             kappa = pairing.pairs[i].kappa

@@ -196,8 +196,9 @@ def test_homology_all_consistent_with_single_calls(glued_triangles):
 @pytest.mark.parametrize("field", [Q, GF2], ids=lambda f: f.name)
 def test_single_dimension_carries_chains_only_for_generators(monkeypatch, field):
     # homology(X, 1) splits the edges itself, in the union-find forest,
-    # carrying the cycle chains exactly when generators are asked for; the
-    # module is the same either way, and _reduce never sees the edges
+    # rooting that forest exactly when generators are asked for but never
+    # carrying an edge chain: the generators are pushed out of the forest.
+    # The module is the same either way, and _reduce never sees the edges
     calls = []
     reduce, forest = wsh.homology._reduce, wsh.homology._edge_forest
 
@@ -205,9 +206,12 @@ def test_single_dimension_carries_chains_only_for_generators(monkeypatch, field)
         calls.append((n, with_cycles))
         return reduce(X, n, rows, field, with_cycles)
 
-    def forest_spy(X, owners, field, with_cycles):
-        calls.append((1, with_cycles))
-        return forest(X, owners, field, with_cycles)
+    def forest_spy(X, owners, field, rooted):
+        calls.append((1, rooted))
+        basis, taken = forest(X, owners, field, rooted)
+        assert basis.cycles == {}
+        assert (basis._forest is not None) == rooted
+        return basis, taken
 
     monkeypatch.setattr(wsh.homology, "_reduce", reduce_spy)
     monkeypatch.setattr(wsh.homology, "_edge_forest", forest_spy)
