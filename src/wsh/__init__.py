@@ -5,8 +5,8 @@ can only shrink when passing to a coface. Scaling each simplex by pi to its
 weight turns the simplicial boundary map into a map of free modules over
 the power series ring, and its homology picks up torsion that plain
 homology cannot see. This package computes those modules two independent
-ways: a fast path that never leaves the residue field, and a truncated
-series verifier used for cross-checking. The package exports the names
+ways: a fast path that never leaves the residue field, and an exact
+power series verifier used for cross-checking. The package exports the names
 of the README's Library section; the rest is imported from its module:
 wsh.complexes, wsh.fields, wsh.fileio, wsh.homology, wsh.oracle, wsh.errors.
 """

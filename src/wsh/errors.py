@@ -71,11 +71,11 @@ class ZeroChain(ValueError):
 
 
 class PrecisionExhausted(ArithmeticError):
-    """A truncated-series computation needs exponents at or beyond the precision.
+    """The oracle's elimination met a matrix that no weighted boundary map gives.
 
-    Raised when an input exponent cannot be represented at the chosen
-    precision, when an oracle entry would need two terms, or when an
-    internal consistency check shows the precision was too small.
+    Raised by three guards in wsh.oracle: a row operation would leave an
+    entry that is not one pi-monomial, an entry is left nonzero below a
+    pivot, or the pivot valuations are not ascending.
     """
 
 

@@ -1,11 +1,11 @@
-"""Independent verification path over truncated power series.
+"""Independent verification path over the power series ring F[[pi]].
 
-Everything here works directly with matrices over F[[pi]] truncated at a
-precision N, using Smith-normal-form style elimination with minimal
-valuation pivots: homology is read off the invariant factors of the
-weighted boundary maps. The oracle is independent of the fast path in
-wsh.homology: it shares no code with it, and its pivots follow its own
-rule, the entry of least valuation, first by row and then by column. A
+Everything here works directly and exactly with matrices over F[[pi]],
+using Smith-normal-form style elimination with minimal valuation pivots:
+homology is read off the invariant factors of the weighted boundary maps.
+The oracle is independent of the fast path in wsh.homology: it shares no
+code with it, and its pivots follow its own rule, the entry of least
+valuation, first by row and then by column. A
 SeriesMatrix is stored as sparse rows, {column: (exponent, scalar)},
 from the boundary map to the end of its elimination, so memory grows
 with the nonzero entries rather than with rows x columns, and the work
@@ -32,15 +32,7 @@ scalar). A row update that meets an entry at another exponent has met a
 matrix without that shape: _add_multiple raises PrecisionExhausted
 ("row operation adds pi^e to an entry at pi^e'") rather than drop a term.
 
-Precision discipline. Truncation at pi^N is a ring quotient: a product
-at exponent N or more is zero and dropped, and all else below N is exact.
-The multiplier (lc / pc) * pi^(le - pe) is known below pi^(N - pe) and
-multiplies entries of valuation at least pe, so every product is known
-below pi^N. choose_precision returns N = 1 + (sum of all weights), which
-keeps every invariant factor of a weighted boundary matrix visible: a
-k x k minor takes entries from k distinct rows, each entry exponent is
-at most the weight of its row, so every determinantal divisor valuation
-stays below N.
+Every exponent is a weight difference, so the arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -53,7 +45,6 @@ from .fields import FieldSpec
 
 __all__ = [
     "SeriesMatrix",
-    "choose_precision",
     "weighted_boundary_matrix",
     "snf_valuations",
     "homology_via_snf",
@@ -61,69 +52,61 @@ __all__ = [
 
 
 class SeriesMatrix:
-    """Sparse matrix over F[[pi]] mod pi^N whose entries are pi-monomials.
+    """Sparse matrix over F[[pi]] whose entries are pi-monomials.
 
     rows[i] is {column: (exponent, scalar)} for scalar*pi^exponent; an
-    absent key is a zero entry. The constructor copies the rows, drops the
-    entries that are zero mod pi^N (zero scalar, exponent >= precision) and
-    rejects negative exponents and columns outside range(ncols).
+    absent key is a zero entry. The constructor rejects negative exponents
+    and columns outside range(ncols) among all the given entries, zero
+    scalars included, then copies the rows without their zero scalars.
     """
 
-    __slots__ = ("field", "precision", "rows", "ncols")
+    __slots__ = ("field", "rows", "ncols")
 
-    def __init__(self, field, precision, rows, ncols):
-        self.field = field
-        self.precision = precision
-        self.ncols = ncols
-        self.rows = [
-            {j: x for j, x in row.items() if x[0] < precision and not field.is_zero(x[1])}
-            for row in rows
-        ]
-        for row in self.rows:
+    def __init__(self, field, rows, ncols):
+        for row in rows:
             for j, (e, _c) in row.items():
                 if not 0 <= j < ncols:
                     raise MismatchedDimensions(f"column {j} outside {ncols} columns")
                 if e < 0:
                     raise ValueError("negative exponent")
+        self.field = field
+        self.ncols = ncols
+        self.rows = [{j: x for j, x in row.items() if not field.is_zero(x[1])} for row in rows]
 
     @property
     def nrows(self):
         return len(self.rows)
 
     def __repr__(self):
-        return f"SeriesMatrix({self.nrows}x{self.ncols} mod pi^{self.precision})"
+        return f"SeriesMatrix({self.nrows}x{self.ncols})"
 
 
+# choose_precision is not called; it stays defined for perfbench/tracing.py,
+# which looks it up through this module
 def choose_precision(X: WeightedComplex) -> int:
-    """Precision that keeps every valuation of interest below the cap."""
     return 1 + X.total_weight()
 
 
-def weighted_boundary_matrix(X, n, field, precision=None) -> SeriesMatrix:
+def weighted_boundary_matrix(X, n, field) -> SeriesMatrix:
     """The dimension-n weighted boundary map as a series matrix."""
-    N = choose_precision(X) if precision is None else precision
     bm = boundary_exponent_matrix(X, n)
     rows = [{} for _ in bm.row_simplices]
     # sign is +-1, a nonzero scalar in every field
     scalar = {1: field.from_int(1), -1: field.from_int(-1)}
     for j, col in enumerate(bm.columns):
         for row, sign, exp in col:
-            if exp >= N:
-                raise PrecisionExhausted(f"exponent {exp} needs precision > {exp}, have {N}")
             rows[row][j] = (exp, scalar[sign])
-    return SeriesMatrix(field, N, rows, len(bm.col_simplices))
+    return SeriesMatrix(field, rows, len(bm.col_simplices))
 
 
-def _add_multiple(vec, shift, g, src, field, precision):
+def _add_multiple(vec, shift, g, src, field):
     """vec += g * pi^shift * src, in place on sparse rows of pi-monomials.
 
-    Products at or beyond the precision are zero and skipped. A product
-    meets an entry of vec only at that entry's exponent (module notes).
+    A product meets an entry of vec only at that entry's exponent (module
+    notes).
     """
     for k, (e, c) in src.items():
         e += shift
-        if e >= precision:
-            continue
         p = field.mul(g, c)
         x = vec.get(k)
         if x is None:
@@ -145,7 +128,7 @@ def _row_least(row):
     return min(((e, j) for j, (e, _c) in row.items()), default=(math.inf, 0))
 
 
-def _eliminate(a, nrows, ncols, field, precision):
+def _eliminate(a, nrows, ncols, field):
     """Diagonalize the sparse rows a in place with minimal-valuation pivots,
     returning the pivot valuations.
 
@@ -192,7 +175,7 @@ def _eliminate(a, nrows, ncols, field, precision):
             if lead is None:
                 continue
             g = field.mul(lead[1], neg_inv)
-            _add_multiple(a[i], lead[0] - pivot[0], g, row_r, field, precision)
+            _add_multiple(a[i], lead[0] - pivot[0], g, row_r, field)
             least[i] = None
             if r in a[i]:
                 raise PrecisionExhausted("elimination left a nonzero entry below the pivot")
@@ -209,7 +192,7 @@ def _eliminate(a, nrows, ncols, field, precision):
 def snf_valuations(matrix: SeriesMatrix):
     """Valuations of the nonzero invariant factors, ascending."""
     a = [dict(row) for row in matrix.rows]
-    return _eliminate(a, matrix.nrows, matrix.ncols, matrix.field, matrix.precision)
+    return _eliminate(a, matrix.nrows, matrix.ncols, matrix.field)
 
 
 def homology_via_snf(X: WeightedComplex, n: int, field: FieldSpec, known=None):
@@ -217,8 +200,7 @@ def homology_via_snf(X: WeightedComplex, n: int, field: FieldSpec, known=None):
 
     Invariant factors of d_n and d_(n+1) over the series ring, read as in
     the module notes: the free rank is m - rank d_n - rank d_(n+1), and the
-    torsion is the nonunit invariant factors of d_(n+1). Each map is built
-    by weighted_boundary_matrix at its default precision, choose_precision.
+    torsion is the nonunit invariant factors of d_(n+1).
 
     known, if given, is a dict owned by the caller that maps k to the
     snf_valuations of d_k for this one X and field; it is read first and

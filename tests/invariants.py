@@ -7,14 +7,8 @@ invariant holds, so callers can aggregate or assert as they see fit.
 import random
 
 from wsh.complexes import boundary_exponent_matrix, build_complex
-from wsh.errors import PrecisionExhausted
 from wsh.homology import cycle_basis, homology_all
-from wsh.oracle import (
-    SeriesMatrix,
-    choose_precision,
-    snf_valuations,
-    weighted_boundary_matrix,
-)
+from wsh.oracle import SeriesMatrix, snf_valuations, weighted_boundary_matrix
 
 from .dense import Matrix, rank
 
@@ -34,25 +28,23 @@ def signed_faces(simplex):
 
 
 def weighted_product_is_zero(left, right_rows):
-    """Whether left * right is zero over R/pi^N.
+    """Whether left * right is zero over F[[pi]].
 
     right_rows[j] is {column: (exponent, scalar)}, as in SeriesMatrix.rows.
     Products of pi-monomials summed along a row need not share an exponent,
     so the sums are kept per (row, column, exponent).
     """
-    F, N = left.field, left.precision
+    F = left.field
     acc = {}
     for i, row in enumerate(left.rows):
         for j, (e1, c1) in row.items():
             for k, (e2, c2) in right_rows[j].items():
-                e = e1 + e2
-                if e < N:
-                    key = (i, k, e)
-                    acc[key] = F.add(acc.get(key, F.zero()), F.mul(c1, c2))
+                key = (i, k, e1 + e2)
+                acc[key] = F.add(acc.get(key, F.zero()), F.mul(c1, c2))
     return all(F.is_zero(c) for c in acc.values())
 
 
-def chain_to_series(chain, X, field, precision):
+def chain_to_series(chain, X, field):
     """Coordinates of a WeightedChain over the n-simplex basis, {index: (e, c)}.
 
     Every coordinate must be one pi-monomial, as lift_cycle makes them.
@@ -63,25 +55,25 @@ def chain_to_series(chain, X, field, precision):
         if len(terms) != 1:
             raise ValueError(f"coordinate of {s} has {len(terms)} terms, not one")
         [(e, c)] = terms
-        if e >= precision:
-            raise PrecisionExhausted(f"exponent {e} at precision {precision}")
         if not field.is_zero(c):
             out[pos[tuple(s)]] = (e, c)
     return out
 
 
-def times_pi(vec, m, precision):
-    """pi^m * vec over R/pi^N: every exponent shifts by m, and those reaching N drop."""
-    return {i: (e + m, c) for i, (e, c) in vec.items() if e + m < precision}
+def times_pi(vec, m):
+    """pi^m * vec: every exponent shifts by m."""
+    return {i: (e + m, c) for i, (e, c) in vec.items()}
 
 
 def all_in_column_span(matrix, targets):
-    """Whether every target vector, {row: (e, c)}, lies in the column span over R/pi^N.
+    """Whether every target vector, {row: (e, c)}, lies in the column span over F[[pi]].
 
-    im A lies in im [A | T], and the quotient of (R/pi^N)^m by each image
-    has the finite length its invariant factors fix. So the images are equal,
-    which is every column of T lying in im A, exactly when the invariant
-    factors of [A | T] and of A agree: one elimination answers every target.
+    im A lies in im [A | T], so R^m / im A maps onto R^m / im [A | T], and
+    the invariant factors of each matrix fix its quotient up to isomorphism.
+    A finitely generated module maps onto a copy of itself only
+    injectively, so the images are equal, which is every column of T lying
+    in im A, exactly when the invariant factors of [A | T] and of A agree:
+    one elimination answers every target.
     """
     rows = [dict(row) for row in matrix.rows]
     for t, vec in enumerate(targets):
@@ -89,12 +81,12 @@ def all_in_column_span(matrix, targets):
             if not 0 <= i < matrix.nrows:
                 raise ValueError(f"target row {i} outside {matrix.nrows} rows")
             rows[i][matrix.ncols + t] = x
-    augmented = SeriesMatrix(matrix.field, matrix.precision, rows, matrix.ncols + len(targets))
+    augmented = SeriesMatrix(matrix.field, rows, matrix.ncols + len(targets))
     return snf_valuations(augmented) == snf_valuations(matrix)
 
 
 def in_column_span(matrix, target):
-    """Whether the target vector lies in the column span over R/pi^N."""
+    """Whether the target vector lies in the column span over F[[pi]]."""
     return all_in_column_span(matrix, [target])
 
 
@@ -178,7 +170,6 @@ def pairing_violations(X, field):
 
 def boundary_squared_violations(X, field):
     bad = []
-    prec = choose_precision(X)
     for n in range(2, X.dim + 1):
         lower = _classical_matrix(X, n - 1, field)
         upper = _classical_matrix(X, n, field)
@@ -186,8 +177,8 @@ def boundary_squared_violations(X, field):
             if not all(field.is_zero(x) for x in lower.mat_vec(upper.column(j))):
                 bad.append(f"n={n}: classical boundary squared is nonzero")
                 break
-        wl = weighted_boundary_matrix(X, n - 1, field, prec)
-        wu = weighted_boundary_matrix(X, n, field, prec)
+        wl = weighted_boundary_matrix(X, n - 1, field)
+        wu = weighted_boundary_matrix(X, n, field)
         if not weighted_product_is_zero(wl, wu.rows):
             bad.append(f"n={n}: weighted boundary squared is nonzero")
     return bad
@@ -230,14 +221,13 @@ def generator_violations(X, field):
     to name the failing ones.
     """
     bad = []
-    prec = choose_precision(X)
     for mod in homology_all(X, field, with_generators=True):
         n = mod.n
         if len(mod.generators) != mod.free_rank + len(mod.torsion):
             bad.append(f"n={n}: generator count mismatch")
             continue
-        lower = weighted_boundary_matrix(X, n, field, prec) if n >= 1 else None
-        vecs = [chain_to_series(gen, X, field, prec) for gen in mod.generators]
+        lower = weighted_boundary_matrix(X, n, field) if n >= 1 else None
+        vecs = [chain_to_series(gen, X, field) for gen in mod.generators]
         if lower is not None:
             for vec in vecs:
                 # vec as a one-column matrix
@@ -245,14 +235,14 @@ def generator_violations(X, field):
                 if not weighted_product_is_zero(lower, column):
                     bad.append(f"n={n}: generator is not a weighted cycle")
         shifted = [
-            (m, times_pi(vec, m, prec)) for vec, m in zip(vecs[mod.free_rank :], mod.torsion)
+            (m, times_pi(vec, m)) for vec, m in zip(vecs[mod.free_rank :], mod.torsion)
         ]
         if not shifted:
             continue
         if n + 1 > X.dim or not X.n_simplices(n + 1):
             bad += [f"n={n}: torsion exponent {m} with no image" for m, vec in shifted if vec]
             continue
-        upper = weighted_boundary_matrix(X, n + 1, field, prec)
+        upper = weighted_boundary_matrix(X, n + 1, field)
         if all_in_column_span(upper, [vec for _m, vec in shifted]):
             continue
         failing = [m for m, vec in shifted if not in_column_span(upper, vec)]

@@ -181,12 +181,12 @@ def test_check_failure_names_the_first_module_that_needs_the_map(tetra_file, mon
 
     def exhausted_at_2(X, k, *args):
         if k == 2:
-            raise PrecisionExhausted("exponent 9 needs precision > 9, have 9")
+            raise PrecisionExhausted("pivot valuations are not ascending")
         return build(X, k, *args)
 
     monkeypatch.setattr(wsh.oracle, "weighted_boundary_matrix", exhausted_at_2)
     assert main(["--check", tetra_file]) == 3
-    why = "exponent 9 needs precision > 9, have 9"
+    why = "pivot valuations are not ascending"
     assert capsys.readouterr().err == f"wsh: check failed at H_1: {why}\n"
     assert main(["--check", "--dim", "2", tetra_file]) == 3
     assert capsys.readouterr().err == f"wsh: check failed at H_2: {why}\n"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wsh.oracle
 from wsh.complexes import build_complex, from_maximal
 from wsh.errors import MismatchedDimensions, PrecisionExhausted
 from wsh.fields import FieldSpec
@@ -22,6 +23,7 @@ from wsh.oracle import (
 from . import reference_oracle as ref
 from .conftest import (
     RATIONALS as Q,
+    CORPUS_FIELDS,
     GF2,
     random_weighted_complex,
     tetra_boundary_complex,
@@ -29,7 +31,9 @@ from .conftest import (
 )
 from .invariants import chain_to_series, in_column_span, times_pi, weighted_product_is_zero
 
-N = 8
+# the precision of the general series ring in tests/reference_oracle.py: above
+# every exponent the drawn and _shaped matrices below can make
+REF_N = 12
 
 
 def mono(exp, coeff=1):
@@ -44,10 +48,10 @@ def _units(field):
     return [u for u in range(-6, 7) if not field.is_zero(field.from_int(u))]
 
 
-def _to_reference(rows, ncols, field, prec):
+def _to_reference(rows, ncols, field):
     """Dense reference rows of general series from sparse rows of pairs."""
     return [
-        [ref.TruncatedSeries(field, prec, dict([row[j]]) if j in row else None) for j in range(ncols)]
+        [ref.TruncatedSeries(field, REF_N, dict([row[j]]) if j in row else None) for j in range(ncols)]
         for row in rows
     ]
 
@@ -61,56 +65,44 @@ def _from_reference(m):
             if x.coeffs:
                 [pair] = x.coeffs.items()
                 rows[-1][j] = pair
-    return SeriesMatrix(m.field, m.precision, rows, m.ncols)
+    return SeriesMatrix(m.field, rows, m.ncols)
 
 
 def test_series_construction_and_valuation():
-    # a zero scalar and an exponent at or beyond the precision are both zero
-    # in R/pi^N; the valuation of a row is its least exponent, first column first
-    m = SeriesMatrix(Q, 3, [{0: mono(0, 0), 1: mono(2, 2), 2: mono(1)}, {0: mono(3)}], 3)
-    assert m.rows == [{1: mono(2, 2), 2: mono(1)}, {}]
+    # a zero scalar is a zero entry, and any exponent is kept; the valuation
+    # of a row is its least exponent, first column first
+    m = SeriesMatrix(Q, [{0: mono(0, 0), 1: mono(2, 2), 2: mono(1)}, {0: mono(3)}], 3)
+    assert m.rows == [{1: mono(2, 2), 2: mono(1)}, {0: mono(3)}]
     assert _row_least(m.rows[0]) == (1, 2)
     assert _row_least({3: mono(1), 0: mono(1, 5), 2: mono(0, 2)}) == (0, 2)
     assert _row_least({3: mono(1), 0: mono(1, 5)}) == (1, 0)
     assert _row_least({}) == (math.inf, 0)
     with pytest.raises(ValueError, match="negative exponent"):
-        SeriesMatrix(Q, 3, [{0: mono(-1)}], 1)
+        SeriesMatrix(Q, [{0: mono(-1)}], 1)
 
 
 def test_series_addition_cancels():
     # vec += g * pi^shift * src: an entry that sums to zero leaves the row
     vec = {0: mono(2), 1: mono(3, 5)}
-    _add_multiple(vec, 1, Q.from_int(-1), {0: mono(1), 1: mono(2, 2), 2: mono(0, 3)}, Q, N)
+    _add_multiple(vec, 1, Q.from_int(-1), {0: mono(1), 1: mono(2, 2), 2: mono(0, 3)}, Q)
     assert vec == {1: mono(3, 3), 2: mono(1, -3)}
 
 
-def test_series_multiplication_truncates():
-    # a product at or beyond the precision is zero in R/pi^N: nothing is added
-    vec = {1: mono(3)}
-    _add_multiple(vec, 2, Q.one(), {0: mono(2), 1: mono(1), 2: mono(0)}, Q, 4)
-    assert vec == {1: mono(3, 2), 2: mono(2)}
-
-
 def test_monomial_beyond_precision():
-    # the boundary map refuses an entry pi^e with e >= N rather than drop it;
     # d_1 of the tetrahedron has entries pi^1 and pi^3
-    X = tetra_boundary_complex()
-    with pytest.raises(PrecisionExhausted, match=r"^exponent 3 needs precision > 3, have 3$"):
-        weighted_boundary_matrix(X, 1, Q, precision=3)
-    A = weighted_boundary_matrix(X, 1, Q, precision=4)
+    A = weighted_boundary_matrix(tetra_boundary_complex(), 1, Q)
     assert {e for row in A.rows for e, _c in row.values()} == {1, 3}
 
 
 @st.composite
 def _row_operations(draw):
-    """A field, a precision and the operands of one weight-shaped row operation.
+    """A field and the operands of one weight-shaped row operation.
 
     vec is row i and src row r of a matrix with row weights a_i >= a_r and
     column weights b_k <= a_r, entry (i, k) c*pi^(a_i - b_k); the shift is
-    a_i - a_r. Entries at or beyond the precision are zero and left out.
+    a_i - a_r.
     """
     field = draw(st.sampled_from(_FIELDS))
-    prec = draw(st.integers(1, 9))
     a_r = draw(st.integers(0, 4))
     a_i = draw(st.integers(a_r, 8))
     b = [draw(st.integers(0, a_r)) for _ in range(4)]
@@ -119,29 +111,29 @@ def _row_operations(draw):
     def row(weight, keys):
         out = {}
         for k in keys:
-            e = weight - b[k]
-            if e < prec and draw(st.booleans()):
-                out[k] = (e, draw(coeff))
+            if draw(st.booleans()):
+                out[k] = (weight - b[k], draw(coeff))
         return out
 
     # vec holds keys 0..2 and src keys 1..3
-    return field, prec, a_i - a_r, draw(coeff), row(a_i, (0, 1, 2)), row(a_r, (1, 2, 3))
+    return field, a_i - a_r, draw(coeff), row(a_i, (0, 1, 2)), row(a_r, (1, 2, 3))
 
 
 @given(_row_operations())
 def test_add_multiple_matches_generic_arithmetic(drawn):
     # tests/reference_oracle.py has the general ring: vec + (g pi^shift) * src
-    # there, entry by entry, truncation and cancellation included
-    field, prec, shift, g, vec, src = drawn
+    # there, entry by entry, cancellation included; every exponent is at most
+    # a_i <= 8, below REF_N, so the reference drops nothing
+    field, shift, g, vec, src = drawn
 
     def series(x):
-        return ref.TruncatedSeries(field, prec, dict([x]) if x else None)
+        return ref.TruncatedSeries(field, REF_N, dict([x]) if x else None)
 
-    f = ref.TruncatedSeries(field, prec, {shift: g})
+    f = ref.TruncatedSeries(field, REF_N, {shift: g})
     expected = {k: series(vec.get(k)) for k in range(4)}
     for k, y in src.items():
         expected[k] = expected[k] + f * series(y)
-    _add_multiple(vec, shift, g, src, field, prec)
+    _add_multiple(vec, shift, g, src, field)
     assert {k: dict([x]) for k, x in vec.items()} == {
         k: x.coeffs for k, x in expected.items() if x.coeffs
     }
@@ -155,18 +147,25 @@ def test_choose_precision_examples():
 
 
 def _matrix(rows):
-    """A SeriesMatrix over Q mod pi^N from dense rows of entries, None for zero."""
+    """A SeriesMatrix over Q from dense rows of entries, None for zero."""
     sparse = [{j: x for j, x in enumerate(r) if x is not None} for r in rows]
-    return SeriesMatrix(Q, N, sparse, len(rows[0]) if rows else 0)
+    return SeriesMatrix(Q, sparse, len(rows[0]) if rows else 0)
 
 
 def test_series_matrix_drops_zeros_and_checks_columns():
-    m = SeriesMatrix(Q, N, [{0: mono(0, 0), 2: mono(1)}, {1: (0, Q.zero())}], 3)
+    m = SeriesMatrix(Q, [{0: mono(0, 0), 2: mono(1)}, {1: (0, Q.zero())}], 3)
     assert m.rows == [{2: mono(1)}, {}]
     assert (m.nrows, m.ncols) == (2, 3)
-    for bad in (3, -1):
-        with pytest.raises(MismatchedDimensions):
-            SeriesMatrix(Q, N, [{bad: mono(0)}], 3)
+    # every given entry is checked before the zero scalars are dropped
+    for bad, error, message in (
+        ({3: mono(0)}, MismatchedDimensions, "column 3 outside 3 columns"),
+        ({-1: mono(0)}, MismatchedDimensions, "column -1 outside 3 columns"),
+        ({99: mono(0, 0)}, MismatchedDimensions, "column 99 outside 3 columns"),
+        ({1: mono(-5, 0)}, ValueError, "negative exponent"),
+        ({7: mono(9)}, MismatchedDimensions, "column 7 outside 3 columns"),
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            SeriesMatrix(Q, [bad], 3)
 
 
 def test_snf_diagonal():
@@ -186,7 +185,7 @@ def test_snf_unit_pivot():
 
 def test_snf_zero_and_empty():
     assert snf_valuations(_matrix([[None, None]])) == []
-    assert snf_valuations(SeriesMatrix(Q, N, [], ncols=3)) == []
+    assert snf_valuations(SeriesMatrix(Q, [], ncols=3)) == []
 
 
 def test_snf_needs_column_ops():
@@ -197,6 +196,24 @@ def test_snf_needs_column_ops():
     assert snf_valuations(m) == [0, 3]
     # the elimination runs on a copy of the rows
     assert m.rows == [{0: mono(1), 1: mono(0)}, {0: mono(3), 1: mono(2, 2)}]
+
+
+def test_snf_exact_far_past_any_former_cap():
+    # the matrix above times pi^M, with exponents near 10^6: each invariant
+    # factor gains exactly M
+    M = 10**6
+    m = _matrix([[mono(M + 1), mono(M)], [mono(M + 3), mono(M + 2, 2)]])
+    assert snf_valuations(m) == [M, M + 3]
+    # row weights (0, M, 2M) and column weights (0, 0, M): two unit pivots,
+    # then pi^(2M) from 2 pi^(2M) - pi^(2M), and the determinant is -pi^(2M)
+    m = _matrix(
+        [
+            [mono(0), mono(0), None],
+            [mono(M), mono(M, 2), mono(0)],
+            [mono(2 * M), mono(2 * M, 3), mono(M)],
+        ]
+    )
+    assert snf_valuations(m) == [0, 0, 2 * M]
 
 
 def test_snf_refuses_entries_that_are_not_pi_monomials():
@@ -211,17 +228,17 @@ def test_snf_refuses_entries_that_are_not_pi_monomials():
         snf_valuations(m)
 
 
-def _shaped(row_weights, col_weights, rng, prec, keep=lambda i, j: True):
+def _shaped(row_weights, col_weights, rng, keep=lambda i, j: True):
     """A reference matrix with random entries c*pi^(row_weights[i] - col_weights[j]).
 
     Only positions with a non-negative exponent, and those keep allows, get
     an entry; c comes from -2..2, so some are zero.
     """
-    m = ref.SeriesMatrix.zeros(Q, prec, len(row_weights), len(col_weights))
+    m = ref.SeriesMatrix.zeros(Q, REF_N, len(row_weights), len(col_weights))
     for i, a in enumerate(row_weights):
         for j, b in enumerate(col_weights):
             if a >= b and keep(i, j) and rng.random() < 0.6:
-                m.rows[i][j] = ref.TruncatedSeries(Q, prec, {a - b: Q.from_int(rng.randint(-2, 2))})
+                m.rows[i][j] = ref.TruncatedSeries(Q, REF_N, {a - b: Q.from_int(rng.randint(-2, 2))})
     return m
 
 
@@ -230,12 +247,11 @@ def test_snf_invariant_under_unimodular_factors():
     # c*pi^(w_i - w_k) for M's row weights (L) or column weights (R): the
     # product keeps M's shape, and the determinants are exactly 1
     rng = random.Random(13)
-    prec = 12
 
     def unimodular(weights):
-        one = ref.TruncatedSeries.monomial(Q, prec, 0)
-        low = _shaped(weights, weights, rng, prec, lambda i, k: i > k)
-        up = _shaped(weights, weights, rng, prec, lambda i, k: i < k)
+        one = ref.TruncatedSeries.monomial(Q, REF_N, 0)
+        low = _shaped(weights, weights, rng, lambda i, k: i > k)
+        up = _shaped(weights, weights, rng, lambda i, k: i < k)
         for i in range(len(weights)):
             low.rows[i][i] = up.rows[i][i] = one
         return low.mat_mul(up)
@@ -243,7 +259,7 @@ def test_snf_invariant_under_unimodular_factors():
     for _ in range(20):
         a = [rng.randrange(4) for _ in range(rng.randint(1, 4))]
         b = [rng.randrange(4) for _ in range(rng.randint(1, 4))]
-        m = _shaped(a, b, rng, prec)
+        m = _shaped(a, b, rng)
         product = unimodular(a).mat_mul(m).mat_mul(unimodular(b))
         assert snf_valuations(_from_reference(product)) == snf_valuations(_from_reference(m))
 
@@ -253,10 +269,9 @@ def _weight_shaped_matrices(draw):
     """Sparse rows of entries c*pi^(a_i - b_j), present only where a_i >= b_j.
 
     Row and column weights come from 0..4, so ties between candidate pivots
-    are common; exponents at or beyond the precision are zero and left out.
+    are common, and every exponent is below REF_N.
     """
     field = draw(st.sampled_from(_FIELDS))
-    prec = draw(st.integers(1, 8))
     nrows, ncols = draw(st.integers(1, 25)), draw(st.integers(1, 25))
     density = draw(st.sampled_from((0.1, 0.3, 0.7)))
     rng = draw(st.randoms(use_true_random=False))
@@ -267,11 +282,11 @@ def _weight_shaped_matrices(draw):
         {
             j: (ai - bj, field.from_int(rng.choice(units)))
             for j, bj in enumerate(b)
-            if 0 <= ai - bj < prec and rng.random() < density
+            if ai >= bj and rng.random() < density
         }
         for ai in a
     ]
-    return field, prec, rows, ncols
+    return field, rows, ncols
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,11 +295,11 @@ def test_eliminate_matches_reference_pivots(drawn):
     # the valuations and the pivot entries pin the pivot rule, least
     # valuation, then first row, then first column, and the row swaps and
     # row operations that follow it
-    field, prec, rows, ncols = drawn
+    field, rows, ncols = drawn
     nrows = len(rows)
     a = [dict(row) for row in rows]
-    got = _eliminate(a, nrows, ncols, field, prec)
-    ra = _to_reference(rows, ncols, field, prec)
+    got = _eliminate(a, nrows, ncols, field)
+    ra = _to_reference(rows, ncols, field)
     vals, _ = ref._eliminate(ra, nrows, ncols)
     assert got == vals
     assert [dict([a[k][k]]) for k in range(len(vals))] == [ra[k][k].coeffs for k in range(len(vals))]
@@ -292,8 +307,6 @@ def test_eliminate_matches_reference_pivots(drawn):
 
 def test_weighted_boundary_matrix_entries(filled_triangle):
     A = weighted_boundary_matrix(filled_triangle, 2, Q)
-    prec = choose_precision(filled_triangle)
-    assert A.precision == prec
     assert [row[0] for row in A.rows] == [mono(1), mono(1, -1), mono(1)]
 
 
@@ -310,30 +323,52 @@ def test_weighted_boundary_matrix_stores_only_nonzeros():
     assert per_column == [3] * 1800
 
 
-def test_weighted_boundary_matrix_rejects_tiny_precision(filled_triangle):
-    with pytest.raises(PrecisionExhausted):
-        weighted_boundary_matrix(filled_triangle, 2, Q, precision=1)
-
-
 def test_weighted_boundary_squares_to_zero():
     rng = random.Random(3)
     for _ in range(15):
         X = random_weighted_complex(rng, max_simplices=20)
-        prec = choose_precision(X)
         for n in range(2, X.dim + 1):
-            lower = weighted_boundary_matrix(X, n - 1, Q, prec)
-            upper = weighted_boundary_matrix(X, n, Q, prec)
+            lower = weighted_boundary_matrix(X, n - 1, Q)
+            upper = weighted_boundary_matrix(X, n, Q)
             assert weighted_product_is_zero(lower, upper.rows)
 
 
+def test_row_operations_stay_within_the_heaviest_weight(monkeypatch):
+    # every exponent is a weight difference a_i - b_k, so each row that a row
+    # operation of homology_via_snf leaves has its exponents in [0, heaviest
+    # weight of X]: the bound that lets the oracle compute exactly
+    add = wsh.oracle._add_multiple
+    heaviest, outside, calls, reached = [0], [], [0], [0]
+
+    def spy(vec, shift, g, src, field):
+        add(vec, shift, g, src, field)
+        calls[0] += 1
+        exponents = [e for e, _c in vec.values()]
+        outside.extend(e for e in exponents if not 0 <= e <= heaviest[0])
+        reached[0] += heaviest[0] in exponents
+
+    monkeypatch.setattr(wsh.oracle, "_add_multiple", spy)
+    rng = random.Random(0xB0D)
+    draws = [(random_weighted_complex(rng), CORPUS_FIELDS[i % 4]) for i in range(400)]
+    for k in (6, 10):
+        draws.append((torus_grid_complex(k, random.Random(k)), Q))
+    for X, field in draws:
+        heaviest[0] = max(X.weight(s) for s in X.simplices())
+        known = {}
+        for n in range(X.dim + 1):
+            homology_via_snf(X, n, field, known)
+    assert outside == []
+    # the draws make thousands of row operations, and the bound is reached
+    assert calls[0] > 1000 and reached[0] > 0
+
+
 def test_in_column_span_weighted_image(filled_triangle):
-    prec = choose_precision(filled_triangle)
-    A = weighted_boundary_matrix(filled_triangle, 2, Q, prec)
+    A = weighted_boundary_matrix(filled_triangle, 2, Q)
     beta = {("a", "b"): Q.one(), ("a", "c"): Q.neg(Q.one()), ("b", "c"): Q.one()}
     lifted = lift_cycle(beta, filled_triangle, Q)
-    vec = chain_to_series(lifted, filled_triangle, Q, prec)
+    vec = chain_to_series(lifted, filled_triangle, Q)
     assert not in_column_span(A, vec)
-    assert in_column_span(A, times_pi(vec, 1, prec))
+    assert in_column_span(A, times_pi(vec, 1))
 
 
 def test_in_column_span_identity_like():
