@@ -52,13 +52,17 @@ def _check_weight(labels, w):
 
 
 class WeightedComplex:
-    """Immutable weighted complex. Construct via build_complex and friends."""
+    """Immutable weighted complex. Construct via build_complex and friends.
+
+    It keeps the validated {sorted label tuple: weight} dict it is given,
+    without a copy: every builder passes a fresh one and keeps no other
+    reference to it.
+    """
 
     __slots__ = ("_weights", "_per_dim", "dim")
 
     def __init__(self, weight_by_labels):
-        # weight_by_labels: {sorted label tuple: weight}, assumed validated
-        self._weights = dict(weight_by_labels)
+        self._weights = weight_by_labels
         self.dim = max(len(s) for s in self._weights) - 1
         per_dim = [[] for _ in range(self.dim + 1)]
         for s in self._weights:
@@ -66,13 +70,11 @@ class WeightedComplex:
         self._per_dim = tuple(tuple(sorted(d)) for d in per_dim)
 
     def __contains__(self, simplex):
-        s = tuple(simplex)
-        if s in self._weights:
-            return True
         try:
-            return _canonical_labels(s) in self._weights
-        except InvalidSimplex:
+            self.weight(simplex)
+        except (KeyError, InvalidSimplex):
             return False
+        return True
 
     def __len__(self):
         return len(self._weights)
@@ -84,11 +86,13 @@ class WeightedComplex:
         return f"WeightedComplex({len(self)} simplices, dim {self.dim})"
 
     def weight(self, simplex) -> int:
-        s = tuple(simplex)
-        w = self._weights.get(s)
-        if w is None:
-            w = self._weights[_canonical_labels(s)]
-        return w
+        # one lookup for a simplex of X in canonical order, as chains hold them;
+        # any other spelling, a list included, is canonicalised and looked up again
+        try:
+            return self._weights[simplex]
+        except (KeyError, TypeError):
+            pass
+        return self._weights[_canonical_labels(simplex)]
 
     def total_weight(self) -> int:
         return sum(self._weights.values())
@@ -125,7 +129,12 @@ def build_complex(pairs) -> WeightedComplex:
     Validates distinct records, face closure, and weight monotonicity
     (a face never weighs less than its cofaces).
     """
-    weights = _listing(pairs, _canonical_labels)
+    return _closed(_listing(pairs, _canonical_labels))
+
+
+def _closed(weights):
+    """The complex of a canonical listing {labels: weight} that must hold
+    every face, refusing a missing face and a face lighter than a coface."""
     for labels, w in weights.items():
         if len(labels) == 1:
             continue
@@ -183,7 +192,11 @@ def _heaviest_cofaces(listed):
 def from_maximal(simplices, weight: int) -> WeightedComplex:
     """Closure of the given simplices with one uniform weight: complete_faces
     over the distinct ones, so a simplex repeated in any vertex order merges."""
-    return complete_faces((s, weight) for s in dict.fromkeys(map(_closable_labels, simplices)))
+    listed = dict.fromkeys(map(_closable_labels, simplices), weight)
+    if not listed:
+        raise EmptyInput("no simplices given")
+    _check_weight(next(iter(listed)), weight)
+    return _completed(listed)
 
 
 def complete_faces(pairs) -> WeightedComplex:
@@ -198,16 +211,29 @@ def complete_faces(pairs) -> WeightedComplex:
     MAX_CLOSURE_VERTICES vertices raises SimplexTooLarge before any face is
     generated. The work is linear in the number of faces of the closure.
     """
-    listed = _listing(pairs, _closable_labels)
+    return _completed(_listing(pairs, _closable_labels))
+
+
+def _completed(listed):
+    """The closure of a canonical listing {labels: weight}, each face at the
+    weight of its heaviest listed coface: complete_faces after the listing.
+
+    The size cap is checked here as well, in listing order, for callers
+    that canonicalise their records themselves.
+    """
+    for s in listed:
+        if len(s) > MAX_CLOSURE_VERTICES:
+            raise SimplexTooLarge(s, MAX_CLOSURE_VERTICES)
     weights = _heaviest_cofaces(listed)
-    items = sorted(listed.items(), key=lambda kv: len(kv[0]))
-    for s, ws in items:
-        if weights[s] > ws:
-            sset = set(s)
-            t, wt = next(
-                (t, wt) for t, wt in items if len(t) > len(s) and ws < wt and sset.issubset(t)
-            )
-            raise MonotonicityViolation(s, t, ws, wt)
+    if any(weights[s] > ws for s, ws in listed.items()):
+        # the order only names the offender, so sort once one is known to exist
+        items = sorted(listed.items(), key=lambda kv: len(kv[0]))
+        s, ws = next((s, ws) for s, ws in items if weights[s] > ws)
+        sset = set(s)
+        t, wt = next(
+            (t, wt) for t, wt in items if len(t) > len(s) and ws < wt and sset.issubset(t)
+        )
+        raise MonotonicityViolation(s, t, ws, wt)
     # the closure holds every face, and each face weighs the most of its
     # listed cofaces, so it is monotone once the listed check has passed
     return WeightedComplex(weights)

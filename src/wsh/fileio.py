@@ -19,7 +19,11 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
-from .complexes import WeightedComplex, build_complex, complete_faces, from_maximal
+from .complexes import WeightedComplex, _closed, _completed
+
+# the library builders are not called here; they stay bound for
+# perfbench/tracing.py, which looks them up through this module
+from .complexes import build_complex, complete_faces, from_maximal  # noqa: F401
 from .errors import (
     ComplexError,
     EmptyInput,
@@ -74,14 +78,14 @@ def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
     maximum weight among their listed cofaces instead of being an error.
     """
     default = None  # the weight W of a '!maximal W' file, whose records are bare
-    records = []
+    weights = {}  # {sorted labels: weight}, the records in file order
     line_of = {}
     for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("!"):
-            if records or default is not None:
+            if weights or default is not None:
                 raise ParseError(lineno, "directives must precede all records")
             parts = line[1:].split()
             if len(parts) != 2 or parts[0] != "maximal":
@@ -92,16 +96,15 @@ def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
             if line.count(";") != 1:
                 raise ParseError(lineno, "expected 'v1 v2 ... ; weight'")
             left, weight = line.split(";")
-            labels = tuple(left.split())
+            labels = left.split()
             if not labels:
                 raise ParseError(lineno, "record has no vertices")
-            shown = " ".join(labels)
         else:
             if ";" in line:
                 raise ParseError(lineno, "maximal mode lists bare simplices, no weights")
-            labels = tuple(line.split())
-            shown = line
+            labels, weight = line.split(), default
         if len(set(labels)) != len(labels):
+            shown = " ".join(labels) if default is None else line
             raise ParseError(lineno, f"repeated vertex in {shown!r}")
         if default is None:
             weight = _weight(lineno, weight.strip(), "weight")
@@ -111,16 +114,13 @@ def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
                 lineno, f"simplex {' '.join(key)!r} already given on line {line_of[key]}"
             )
         line_of[key] = lineno
-        records.append((labels, weight) if default is None else labels)
+        weights[key] = weight
 
-    if not records:
+    if not weights:
         raise EmptyInput("no simplices in input")
     try:
-        if default is not None:
-            return from_maximal(records, default)
-        if complete:
-            return complete_faces(records)
-        return build_complex(records)
+        # the records are canonical already: sorted, distinct, with valid weights
+        return _completed(weights) if complete or default is not None else _closed(weights)
     except ComplexError as err:
         _decorate(err, line_of)
 

@@ -79,7 +79,12 @@ def test_complete_faces_matches_quadratic_reference(monkeypatch):
         assert new == ref, records
         parsed = _outcome(lambda: parse_complex_file(text, complete=True))
         with monkeypatch.context() as m:
-            m.setattr(wsh.fileio, "complete_faces", reference_complexes.complete_faces)
+            # the reader hands its canonical {labels: weight} records to _completed
+            m.setattr(
+                wsh.fileio,
+                "_completed",
+                lambda listed: reference_complexes.complete_faces(listed.items()),
+            )
             parsed_ref = _outcome(lambda: parse_complex_file(text, complete=True))
         assert parsed == parsed_ref, text
         if new[0] in kinds:

@@ -294,3 +294,18 @@ def test_complex_equality_and_weight_lookup():
     assert () not in X
     with pytest.raises(KeyError):
         X.weight(("A", "E"))
+    # a list or an unsorted tuple is read as its sorted labels
+    for simplex in (["B", "A"], ["A", "B"], ("B", "A"), ("C", "A", "B")):
+        assert simplex in X
+        assert X.weight(simplex) == X.weight(tuple(sorted(simplex)))
+    assert X.weight(["B", "A"]) == 4
+    assert X.weight(("D", "B", "C")) == 1
+    # missing and invalid simplices, in any spelling
+    for simplex in (["E", "A"], ("A", "A"), ["A", "A"], [], ("A", "B", "C", "D")):
+        assert simplex not in X
+    for simplex in (["E", "A"], ("B", "A", "C", "D")):
+        with pytest.raises(KeyError):
+            X.weight(simplex)
+    for simplex in ((), [], ("A", "A"), ["B", "B"]):
+        with pytest.raises(InvalidSimplex):
+            X.weight(simplex)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wsh.complexes import build_complex, from_maximal
+import wsh.complexes
+from wsh.complexes import build_complex, complete_faces, from_maximal
 from wsh.errors import (
     EmptyInput,
     MissingFace,
@@ -113,6 +114,11 @@ _READER_ERRORS = [
     ("a ; 1\nb ; 1\na b ; 1\nb a ; 1\n", True, ParseError, 4,
      "line 4: simplex 'a b' already given on line 3"),
     ("a b ; 1\na ; 1\n", False, MissingFace, 1, "line 1: face {b} of {a b} is not in the complex"),
+    # a builder error on an early record loses to a reader error on a later line
+    ("a b ; 1\na ; 1\nb a ; 1\n", False, ParseError, 3,
+     "line 3: simplex 'a b' already given on line 1"),
+    (f"{_TOO_BIG} ; 0\na ; 1\nb c 1\n", True, ParseError, 3,
+     "line 3: expected 'v1 v2 ... ; weight'"),
     ("a b ; 2\na ; 1\nb ; 2\n", False, MonotonicityViolation, 2,
      "line 2: weight of face {a} is 1 but its coface {a b} has weight 2"),
     ("a b ; 5\na b c ; 1\nb ; 0\n", True, MonotonicityViolation, 3,
@@ -133,6 +139,8 @@ _READER_ERRORS = [
      "line 3: simplex 'a b' already given on line 2"),
     ("!maximal 0\n", False, EmptyInput, None, "no simplices in input"),
     (f"!maximal 0\na\n{_TOO_BIG}\n", False, SimplexTooLarge, 3, f"line 3: {_TOO_BIG_REASON}"),
+    (f"!maximal 0\n{_TOO_BIG}\na\nb ; 1\n", False, ParseError, 4,
+     "line 4: maximal mode lists bare simplices, no weights"),
 ]
 
 
@@ -173,9 +181,59 @@ def test_parse_complete_mode():
         parse_complex_file("a b ; 5\na b c ; 1\n")
 
 
+class _Canonicalised(Exception):
+    pass
+
+
+def test_reader_hands_its_sorted_records_straight_to_the_closure_check(monkeypatch):
+    # the reader sorts and checks each record itself; the builders'
+    # canonicalisation of (vertices, weight) pairs is for library callers
+    files = [
+        (
+            "b a ; 1\na ; 2\nb ; 1\n",
+            False,
+            build_complex([(("b", "a"), 1), (("a",), 2), (("b",), 1)]),
+        ),
+        ("c b a ; 1\nb ; 3\n", True, complete_faces([(("a", "b", "c"), 1), (("b",), 3)])),
+        ("!maximal 2\nc b a\nd c\n", False, from_maximal([("a", "b", "c"), ("c", "d")], 2)),
+    ]
+
+    def refuse(*args):
+        raise _Canonicalised(args)
+
+    monkeypatch.setattr(wsh.complexes, "_listing", refuse)
+    monkeypatch.setattr(wsh.complexes, "_canonical_labels", refuse)
+    for text, complete, built in files:
+        assert parse_complex_file(text, complete=complete) == built
+
+
+def _records_text(records):
+    return "".join(f"{' '.join(vertices)} ; {w}\n" for vertices, w in records)
+
+
 def test_round_trip_exact():
     for X in (tetra_boundary_complex(), glued_triangles_complex()):
         assert parse_complex_file(serialize_complex(X)) == X
+    # seeded draws, vertices shuffled within each record: the reader's complex
+    # is the library builder's in all three modes, down to the id order
+    rng = random.Random(24)
+    for _ in range(80):
+        X = random_weighted_complex(rng)
+        records = [(tuple(rng.sample(s, len(s))), X.weight(s)) for s in X.simplices()]
+        rng.shuffle(records)
+        listed = rng.sample(records, rng.randint(1, len(records)))
+        tops = [s for s, _ in records if not any(set(s) < set(t) for t, _ in records)]
+        w = rng.randint(0, 5)
+        maximal = f"!maximal {w}\n" + "".join(" ".join(s) + "\n" for s in tops)
+        for text, complete, built in (
+            (_records_text(records), False, build_complex(records)),
+            (_records_text(listed), True, complete_faces(listed)),
+            (maximal, False, from_maximal(tops, w)),
+        ):
+            parsed = parse_complex_file(text, complete=complete)
+            assert parsed == built
+            assert parsed.dim == built.dim
+            assert all(parsed.n_simplices(n) == built.n_simplices(n) for n in range(built.dim + 1))
 
 
 def test_serialize_orders_by_dimension_then_lex():
