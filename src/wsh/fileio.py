@@ -12,7 +12,8 @@ each record is then the bare vertices, without ';' or weight, and every
 simplex and missing face gets the weight W, whether or not complete=True.
 One loop reads both kinds of file; only the record syntax and where the
 weight comes from depend on the header. Wherever faces are filled in, a
-record may have at most complexes.MAX_CLOSURE_VERTICES vertices.
+record may have at most complexes.MAX_CLOSURE_VERTICES vertices. One
+leading byte order mark (U+FEFF) is dropped; anywhere else it is text.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
     default = None  # the weight W of a '!maximal W' file, whose records are bare
     weights = {}  # {sorted labels: weight}, the records in file order
     line_of = {}
+    # a byte order mark is not part of the first label or directive
+    text = text.removeprefix("\ufeff")
     for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -164,15 +164,23 @@ class HomologyModule:
 
 
 def _add_multiple(target, factor, source, field):
-    """target += factor * source on sparse {index: scalar} vectors, dropping zeros."""
+    """target += factor * source on sparse {index: scalar} vectors, dropping zeros.
+
+    factor and every stored scalar are nonzero, and a product of nonzero
+    scalars in a field is nonzero: only a sum can cancel, so only sums are
+    zero-checked, and a key whose sum cancels is deleted. A new key goes
+    last, so target keeps its insertion order.
+    """
+    mul, add = field.mul, field.add
     for k, v in source.items():
-        x = field.mul(factor, v)
         if k in target:
-            x = field.add(target[k], x)
-        if field.is_zero(x):
-            target.pop(k, None)
+            x = add(target[k], mul(factor, v))
+            if field.is_zero(x):
+                del target[k]
+            else:
+                target[k] = x
         else:
-            target[k] = x
+            target[k] = mul(factor, v)
 
 
 def _processing_order(X, n):
@@ -199,10 +207,11 @@ def _reduce(X, n, rows, field, with_cycles):
     pivot entry, the rest of its column and its chain at that moment,
     negated inverse of the pivot entry), the rest as {position: scalar}
     over positions past the pivot. A later column with entry c at that
-    pivot adds c times the negated inverse times the stored column, which
-    cancels c exactly: the step pops c and adds only the rest. For n = 0
-    the boundary is zero, and every vertex is dependent and owns the
-    one-term cycle of itself.
+    pivot adds f = c times the negated inverse times the stored column,
+    which cancels c exactly: each step pops c and is one _add_multiple of
+    f times the rest onto the column and, with chains, one of f times the
+    stored chain onto the chain. For n = 0 the boundary is zero, and every
+    vertex is dependent and owns the one-term cycle of itself.
     """
     if not X.n_simplices(n):
         return CycleBasis(n, [], [], {}), {}
@@ -214,7 +223,6 @@ def _reduce(X, n, rows, field, with_cycles):
     # the i-th face drops the i-th smallest vertex and has sign (-1)^i
     plus, minus = field.from_int(1), field.from_int(-1)
     drops = [(i, plus if i % 2 == 0 else minus) for i in range(n + 1)]
-    mul, add, is_zero = field.mul, field.add, field.is_zero
     # once the bound is met every later column reduces to zero; only its
     # chain, when carried, is left to compute
     bound = None if with_cycles else len(rows)
@@ -236,27 +244,10 @@ def _reduce(X, n, rows, field, with_cycles):
             if pivot not in reduced:
                 break
             _s, _c, rest, pivot_chain, g = reduced[pivot]
-            f = mul(column.pop(pivot), g)
-            # a product of nonzero scalars is nonzero: only a sum can cancel
-            for k, v in rest.items():
-                if k in column:
-                    x = add(column[k], mul(f, v))
-                    if is_zero(x):
-                        del column[k]
-                    else:
-                        column[k] = x
-                else:
-                    column[k] = mul(f, v)
+            f = field.mul(column.pop(pivot), g)
+            _add_multiple(column, f, rest, field)
             if with_cycles:
-                for k, v in pivot_chain.items():
-                    if k in chain:
-                        x = add(chain[k], mul(f, v))
-                        if is_zero(x):
-                            del chain[k]
-                        else:
-                            chain[k] = x
-                    else:
-                        chain[k] = mul(f, v)
+                _add_multiple(chain, f, pivot_chain, field)
         if column:
             c = column.pop(pivot)
             reduced[pivot] = (s, c, column, chain, field.neg(field.inv(c)))

@@ -241,6 +241,14 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"wsh: error: {p}: line 1: not UTF-8 text\n"
 
 
+def test_utf8_byte_order_mark_is_dropped(tmp_path, capsys):
+    # a kept mark would make 'a' on line 1 a vertex apart from 'a' on line 2: H_0 = R (+) R
+    p = tmp_path / "bom.cplx"
+    p.write_bytes(b"\xef\xbb\xbfa b ; 0\nc a ; 0\n")
+    assert main(["--complete-faces", "--check", str(p)]) == 0
+    assert capsys.readouterr().out == "field: rational\nH_0 = R\nH_1 = 0\n"
+
+
 @pytest.mark.parametrize("ch", NOT_LINE_BREAKS, ids=lambda ch: f"U+{ord(ch):04X}")
 def test_line_numbers_count_only_cr_and_lf(ch, tmp_path, capsys):
     p = tmp_path / "joined.cplx"

@@ -141,6 +141,8 @@ _READER_ERRORS = [
     (f"!maximal 0\na\n{_TOO_BIG}\n", False, SimplexTooLarge, 3, f"line 3: {_TOO_BIG_REASON}"),
     (f"!maximal 0\n{_TOO_BIG}\na\nb ; 1\n", False, ParseError, 4,
      "line 4: maximal mode lists bare simplices, no weights"),
+    # only one leading byte order mark is dropped; a second is text
+    ("\ufeff\ufeff# x\na ; 1\n", False, ParseError, 1, "line 1: expected 'v1 v2 ... ; weight'"),
 ]
 
 
@@ -151,6 +153,22 @@ def test_reader_errors_pin_type_message_and_line(text, complete, exc, line, mess
     assert type(ei.value) is exc
     assert str(ei.value) == message
     assert getattr(ei.value, "line", None) == line
+
+
+# (text, complete): files that a leading byte order mark must not change
+_BOM_FILES = [
+    ("a b ; 0\nc a ; 0\n", True),  # the mark would be part of the label a
+    ("# comment\na ; 1\nb ; 1\na b ; 1\n", False),
+    ("!maximal 0\na b\nb c\n", False),
+]
+
+
+@pytest.mark.parametrize("text, complete", _BOM_FILES)
+def test_leading_byte_order_mark_is_dropped(text, complete):
+    X = parse_complex_file("\ufeff" + text, complete=complete)
+    assert X == parse_complex_file(text, complete=complete)
+    h0 = homology(X, 0, Q)
+    assert (h0.free_rank, h0.torsion) == (1, [])
 
 
 @pytest.mark.parametrize("ch", NOT_LINE_BREAKS, ids=lambda ch: f"U+{ord(ch):04X}")

@@ -14,6 +14,7 @@ import wsh
 from wsh.complexes import build_complex, from_maximal
 from wsh.errors import DimensionOutOfRange, MismatchedDimensions, ZeroChain
 from wsh.fields import FieldSpec
+from wsh.fileio import render_json_report
 from wsh.homology import cycle_basis, homology, homology_all, lift_cycle
 from .conftest import RATIONALS as Q
 from .conftest import GF2, random_weighted_complex, torus_grid_complex
@@ -187,10 +188,15 @@ def test_homology_generator_count_matches_module(glued_triangles):
 
 
 def test_homology_all_consistent_with_single_calls(glued_triangles):
-    mods = homology_all(glued_triangles, Q)
-    for m in mods:
-        single = homology(glued_triangles, m.n, Q)
-        assert (single.free_rank, single.torsion) == (m.free_rank, m.torsion)
+    # homology(X, n) with generators carries the chains through _split's
+    # reduction over every face; homology_all through the pairing passes
+    # over owner rows. Their reports must agree byte for byte
+    complexes = [glued_triangles, _sphere(7)]
+    complexes += [torus_grid_complex(k, random.Random(k)) for k in (6, 10)]
+    for X, field in itertools.product(complexes, (Q, GF2, GF5)):
+        for m in homology_all(X, field, True):
+            single = homology(X, m.n, field, True)
+            assert render_json_report([single], field) == render_json_report([m], field)
 
 
 @pytest.mark.parametrize("field", [Q, GF2], ids=lambda f: f.name)
