@@ -32,6 +32,7 @@ __all__ = [
     "from_maximal",
     "complete_faces",
     "boundary_exponent_matrix",
+    "boundary_rows",
 ]
 
 
@@ -247,9 +248,10 @@ class BoundaryMatrix:
     complex's lexicographic order. Each column holds (row index, sign,
     exponent) triples; the exponent is weight(face) - weight(simplex),
     always non-negative by monotonicity. Dropping the exponents gives the
-    ordinary boundary matrix over a coefficient field. In the library only
-    the --check oracle (wsh.oracle) builds one: the fast path reads each
-    column off the faces of its simplex instead.
+    ordinary boundary matrix over a coefficient field. No library code
+    builds one: the fast path (wsh.homology) reads each column off the
+    faces of its simplex, and the --check oracle (wsh.oracle) reads
+    boundary_rows.
     """
 
     n: int
@@ -258,28 +260,46 @@ class BoundaryMatrix:
     columns: tuple
 
 
+def boundary_rows(X: WeightedComplex, n: int, plus, minus) -> list:
+    """The dimension-n boundary map as sparse rows, for 1 <= n <= X.dim.
+
+    rows[r] is {j: (exponent, sign)} for the r-th (n-1)-simplex, over the
+    n-simplices s it is a face of, s the j-th; both in lexicographic order.
+    The i-th face of s drops the i-th smallest vertex, has sign plus for
+    even i and minus for odd i, and exponent weight(face) - weight(s).
+    Each face costs one lookup in a map of the (n-1)-simplices to their
+    row index and weight. The --check oracle reads its boundary maps here.
+    """
+    if n < 1 or n > X.dim:
+        raise DimensionOutOfRange(n, f"boundary defined for 1 <= n <= {X.dim}, got {n}")
+    weights = X._weights
+    row_of = {f: (i, weights[f]) for i, f in enumerate(X.n_simplices(n - 1))}
+    rows = [{} for _ in row_of]
+    drops = [(i, plus if i % 2 == 0 else minus) for i in range(n + 1)]
+    for j, s in enumerate(X.n_simplices(n)):
+        ws = weights[s]
+        for i, sign in drops:
+            r, wf = row_of[s[:i] + s[i + 1 :]]
+            rows[r][j] = (wf - ws, sign)
+    return rows
+
+
 def boundary_exponent_matrix(X: WeightedComplex, n: int) -> BoundaryMatrix:
     """The BoundaryMatrix of dimension n, for 1 <= n <= X.dim.
 
     Column j lists the n + 1 faces of the j-th n-simplex s by the vertex
     they drop: the i-th triple drops the i-th smallest vertex of s, has
-    sign (-1)^i and exponent weight(face) - weight(s). Each face costs one
-    lookup in a map of the (n-1)-simplices to their row index and weight.
-    The oracle's weighted_boundary_matrix is the one caller in the library.
+    sign (-1)^i and exponent weight(face) - weight(s). It is boundary_rows
+    read by column. Nothing in the library calls it; the tests do, and
+    perfbench/tracing.py looks it up through wsh.complexes, wsh.homology
+    and wsh.oracle.
     """
-    if n < 1 or n > X.dim:
-        raise DimensionOutOfRange(n, f"boundary defined for 1 <= n <= {X.dim}, got {n}")
-    rows = X.n_simplices(n - 1)
+    rows = boundary_rows(X, n, 1, -1)
     cols = X.n_simplices(n)
-    weights = X._weights
-    row_of = {f: (i, weights[f]) for i, f in enumerate(rows)}
-    drops = [(i, (-1) ** i) for i in range(n + 1)]
-    columns = []
-    for s in cols:
-        ws = weights[s]
-        col = []
-        for i, sign in drops:
-            r, wf = row_of[s[:i] + s[i + 1 :]]
-            col.append((r, sign, wf - ws))
-        columns.append(tuple(col))
-    return BoundaryMatrix(n, rows, cols, tuple(columns))
+    columns = [[] for _ in cols]
+    # dropping a later vertex gives a lexicographically smaller face, so
+    # walking the rows from the last lists each column's faces in drop order
+    for r in range(len(rows) - 1, -1, -1):
+        for j, (e, sign) in rows[r].items():
+            columns[j].append((r, sign, e))
+    return BoundaryMatrix(n, X.n_simplices(n - 1), cols, tuple(map(tuple, columns)))

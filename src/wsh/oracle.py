@@ -7,10 +7,21 @@ The oracle is independent of the fast path in wsh.homology: it shares no
 code with it, and its pivots follow its own rule, the entry of least
 valuation, first by row and then by column. A
 SeriesMatrix is stored as sparse rows, {column: (exponent, scalar)},
-from the boundary map to the end of its elimination, so memory grows
-with the nonzero entries rather than with rows x columns, and the work
-skipped is exactly the adding and multiplying of exact zeros; every
-pivot and every answer is the one the dense elimination gives.
+from the boundary map, which is read off the faces of each simplex, to
+the end of its elimination, so memory grows with the nonzero entries
+rather than with rows x columns, and the work skipped is exactly the
+adding and multiplying of exact zeros; every pivot and every answer is
+the one the dense elimination gives.
+
+The elimination follows the nonzeros and the fill-in, as the per-column
+row lists of Dumas, Saunders and Villard (On efficient sparse integer
+matrix Smith normal form computations, JSC 32, 2001) do. Rows and
+columns keep their ids, and a swap moves them only in position<->id
+permutations. Each column lists the rows that have held an entry in it,
+so a pivot's row operations visit the rows under its column and no
+other row below it. Each row caches its least valuation, and only the
+search for the next pivot still looks at every row left, one cached
+pair each.
 
 Homology from Smith forms. R = F[[pi]] is a principal ideal domain and
 C_n / Z_n is isomorphic to B_(n-1), a submodule of a free module, hence
@@ -39,7 +50,9 @@ from __future__ import annotations
 
 import math
 
-from .complexes import WeightedComplex, boundary_exponent_matrix
+# boundary_exponent_matrix is not called here; it stays bound for
+# perfbench/tracing.py, which looks it up through this module
+from .complexes import WeightedComplex, boundary_exponent_matrix, boundary_rows  # noqa: F401
 from .errors import DimensionOutOfRange, MismatchedDimensions, PrecisionExhausted
 from .fields import FieldSpec
 
@@ -57,21 +70,29 @@ class SeriesMatrix:
     rows[i] is {column: (exponent, scalar)} for scalar*pi^exponent; an
     absent key is a zero entry. The constructor rejects negative exponents
     and columns outside range(ncols) among all the given entries, zero
-    scalars included, then copies the rows without their zero scalars.
+    scalars included, in one pass that copies the rows without their zero
+    scalars.
     """
 
     __slots__ = ("field", "rows", "ncols")
 
     def __init__(self, field, rows, ncols):
+        is_zero = field.is_zero
+        kept = []
         for row in rows:
-            for j, (e, _c) in row.items():
+            out = {}
+            for j, x in row.items():
+                e, c = x
                 if not 0 <= j < ncols:
                     raise MismatchedDimensions(f"column {j} outside {ncols} columns")
                 if e < 0:
                     raise ValueError("negative exponent")
+                if not is_zero(c):
+                    out[j] = x
+            kept.append(out)
         self.field = field
         self.ncols = ncols
-        self.rows = [{j: x for j, x in row.items() if not field.is_zero(x[1])} for row in rows]
+        self.rows = kept
 
     @property
     def nrows(self):
@@ -88,15 +109,11 @@ def choose_precision(X: WeightedComplex) -> int:
 
 
 def weighted_boundary_matrix(X, n, field) -> SeriesMatrix:
-    """The dimension-n weighted boundary map as a series matrix."""
-    bm = boundary_exponent_matrix(X, n)
-    rows = [{} for _ in bm.row_simplices]
+    """The dimension-n weighted boundary map as a series matrix, read off
+    the faces of each n-simplex by wsh.complexes.boundary_rows."""
     # sign is +-1, a nonzero scalar in every field
-    scalar = {1: field.from_int(1), -1: field.from_int(-1)}
-    for j, col in enumerate(bm.columns):
-        for row, sign, exp in col:
-            rows[row][j] = (exp, scalar[sign])
-    return SeriesMatrix(field, rows, len(bm.col_simplices))
+    rows = boundary_rows(X, n, field.from_int(1), field.from_int(-1))
+    return SeriesMatrix(field, rows, len(X.n_simplices(n)))
 
 
 def _add_multiple(vec, shift, g, src, field):
@@ -105,9 +122,10 @@ def _add_multiple(vec, shift, g, src, field):
     A product meets an entry of vec only at that entry's exponent (module
     notes).
     """
+    mul, add, is_zero = field.mul, field.add, field.is_zero
     for k, (e, c) in src.items():
         e += shift
-        p = field.mul(g, c)
+        p = mul(g, c)
         x = vec.get(k)
         if x is None:
             vec[k] = (e, p)
@@ -116,74 +134,107 @@ def _add_multiple(vec, shift, g, src, field):
             raise PrecisionExhausted(
                 f"row operation adds pi^{e} to an entry at pi^{x[0]}: entries are not pi-monomials"
             )
-        s = field.add(x[1], p)
-        if field.is_zero(s):
+        s = add(x[1], p)
+        if is_zero(s):
             del vec[k]
         else:
             vec[k] = (e, s)
 
 
-def _row_least(row):
-    """(least valuation, first column holding it) of a sparse row, (inf, 0) if empty."""
-    return min(((e, j) for j, (e, _c) in row.items()), default=(math.inf, 0))
+def _row_least(row, position):
+    """(least valuation, first column position holding it) of a sparse row,
+    (inf, 0) if empty; position maps a column to its position."""
+    v, at = math.inf, 0
+    for j, (e, _c) in row.items():
+        if e <= v:
+            p = position[j]
+            if e < v or p < at:
+                v, at = e, p
+    return v, at
 
 
 def _eliminate(a, nrows, ncols, field):
     """Diagonalize the sparse rows a in place with minimal-valuation pivots,
     returning the pivot valuations.
 
-    The pivot is the entry of least valuation, first by row and then by
-    column. least[i] caches _row_least(a[i]); touching row i resets it to
-    None, and the scan recomputes it on arrival.
+    The pivot is the entry of least valuation, first by row position and
+    then by column position. Rows and columns keep their ids, the indices
+    of a and the keys of its rows, and a swap exchanges two slots of the
+    position<->id permutations. under[J] lists the rows that have held an
+    entry in column J: a row joins it on fill-in and stays when the entry
+    cancels, so it is checked on visit, and a pivot's row operations reach
+    only the rows under its column, in position order. least[i] caches
+    _row_least of row i by column position; a row operation resets it to
+    None, as does a column swap for a row whose minimum sat in the column
+    moved out, and the scan recomputes it on arrival. On return a is the
+    diagonal: {k: pivot k} for each pivot k, then empty rows.
     """
     vals = []
+    row_at, row_pos = list(range(nrows)), list(range(nrows))
+    col_at, col_pos = list(range(ncols)), list(range(ncols))
+    under = [set() for _ in range(ncols)]
+    for i, row in enumerate(a):
+        for j in row:
+            under[j].add(i)
     least = [None] * nrows
+    minus_one = field.from_int(-1)
+    mul = field.mul
     r = 0
     while r < nrows and r < ncols:
-        found, v = None, math.inf
-        for i in range(r, nrows):
-            if least[i] is None:
-                least[i] = _row_least(a[i])
-            if least[i][0] < v:
-                v, j = least[i]
-                found = (i, j)
+        p, v = None, math.inf
+        for s in range(r, nrows):
+            i = row_at[s]
+            m = least[i]
+            if m is None:
+                m = least[i] = _row_least(a[i], col_pos)
+            if m[0] < v:
+                v, p = m[0], s
                 if v == 0:
                     break
-        if found is None:
+        if p is None:
             break
-        pi, pj = found
-        if pi != r:
-            a[pi], a[r] = a[r], a[pi]
-            least[pi], least[r] = least[r], least[pi]
-        if pj != r:
-            # rows above r are already {k: pivot} with k < r
-            for i in range(r, nrows):
-                row = a[i]
-                x, y = row.pop(pj, None), row.pop(r, None)
-                if x is not None:
-                    row[r] = x
-                if y is not None:
-                    row[pj] = y
-                if x is not None or y is not None:
+        top = row_at[p]
+        q = least[top][1]
+        J = col_at[q]
+        if p != r:
+            row_at[p], row_at[r] = row_at[r], top
+            row_pos[row_at[p]], row_pos[top] = p, r
+        if q != r:
+            K = col_at[r]
+            col_at[q], col_at[r] = K, J
+            col_pos[K], col_pos[J] = q, r
+            # the rows holding J all meet a row operation or become the
+            # pivot row; a row holding K keeps its minimum unless it was K
+            for i in under[K]:
+                m = least[i]
+                if m is not None and m[1] == r:
                     least[i] = None
-        row_r = a[r]
-        pivot = row_r[r]
+        row_r = a[top]
+        pivot = row_r[J]
         # row i loses (lc / pc) * pi^(le - pe) times row r
-        neg_inv = field.neg(field.inv(pivot[1]))
-        for i in range(r + 1, nrows):
-            lead = a[i].get(r)
-            if lead is None:
-                continue
-            g = field.mul(lead[1], neg_inv)
-            _add_multiple(a[i], lead[0] - pivot[0], g, row_r, field)
+        neg_inv = field.div(minus_one, pivot[1])
+        column = under[J]
+        column.discard(top)
+        below = [i for i in column if J in a[i]]
+        below.sort(key=row_pos.__getitem__)
+        for i in below:
+            row = a[i]
+            lead = row[J]
+            _add_multiple(row, lead[0] - pivot[0], mul(lead[1], neg_inv), row_r, field)
             least[i] = None
-            if r in a[i]:
+            if J in row:
                 raise PrecisionExhausted("elimination left a nonzero entry below the pivot")
-        # the pivot column is zero below r, so clearing the rest of the
-        # pivot row is a column operation that only affects the pivot row
-        a[r] = {r: pivot}
+        # each row below has met every column of row r: filled in, kept
+        # or cancelled, it is listed there
+        for k in row_r:
+            under[k].update(below)
+        # column J is zero below r, so clearing the rest of the pivot row
+        # is a column operation that only affects the pivot row
+        a[top] = {J: pivot}
+        under[J] = None
         vals.append(v)
         r += 1
+    a[:] = [{k: a[row_at[k]][col_at[k]]} for k in range(r)] + [{} for _ in range(nrows - r)]
     if vals != sorted(vals):
         raise PrecisionExhausted("pivot valuations are not ascending")
     return vals

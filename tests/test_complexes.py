@@ -7,6 +7,7 @@ from wsh.complexes import (
     WeightedComplex,
     _canonical_labels,
     boundary_exponent_matrix,
+    boundary_rows,
     build_complex,
     complete_faces,
     from_maximal,
@@ -246,6 +247,21 @@ def test_boundary_matrix_matches_signed_faces_definition(corpus):
             assert bm.row_simplices == X.n_simplices(n - 1)
             assert bm.col_simplices == X.n_simplices(n)
             assert bm.columns == _boundary_by_definition(X, n)
+
+
+def test_boundary_rows_are_the_definition_read_by_row():
+    # the rows carry the sign objects they are given, plus for (-1)^i = 1
+    sphere = from_maximal(itertools.combinations([f"x{i}" for i in range(7)], 6), 6)
+    for X in (torus_grid_complex(5, random.Random(5)), sphere):
+        for n in range(1, X.dim + 1):
+            expected = [{} for _ in X.n_simplices(n - 1)]
+            for j, col in enumerate(_boundary_by_definition(X, n)):
+                for r, sign, exp in col:
+                    expected[r][j] = (exp, "+" if sign == 1 else "-")
+            assert boundary_rows(X, n, "+", "-") == expected
+        for n in (0, X.dim + 1):
+            with pytest.raises(DimensionOutOfRange):
+                boundary_rows(X, n, 1, -1)
 
 
 def test_boundary_matrix_dimension_range():

@@ -73,10 +73,13 @@ def test_series_construction_and_valuation():
     # of a row is its least exponent, first column first
     m = SeriesMatrix(Q, [{0: mono(0, 0), 1: mono(2, 2), 2: mono(1)}, {0: mono(3)}], 3)
     assert m.rows == [{1: mono(2, 2), 2: mono(1)}, {0: mono(3)}]
-    assert _row_least(m.rows[0]) == (1, 2)
-    assert _row_least({3: mono(1), 0: mono(1, 5), 2: mono(0, 2)}) == (0, 2)
-    assert _row_least({3: mono(1), 0: mono(1, 5)}) == (1, 0)
-    assert _row_least({}) == (math.inf, 0)
+    same = range(4)
+    assert _row_least(m.rows[0], same) == (1, 2)
+    assert _row_least({3: mono(1), 0: mono(1, 5), 2: mono(0, 2)}, same) == (0, 2)
+    assert _row_least({3: mono(1), 0: mono(1, 5)}, same) == (1, 0)
+    assert _row_least({}, same) == (math.inf, 0)
+    # a tie goes to the first column position, not the first column id
+    assert _row_least({3: mono(1), 0: mono(1, 5)}, [3, 1, 2, 0]) == (1, 0)
     with pytest.raises(ValueError, match="negative exponent"):
         SeriesMatrix(Q, [{0: mono(-1)}], 1)
 
@@ -265,16 +268,22 @@ def test_snf_invariant_under_unimodular_factors():
 
 
 @st.composite
-def _weight_shaped_matrices(draw):
+def _weight_shaped_matrices(
+    draw,
+    nrows=st.integers(1, 25),
+    ncols=st.integers(1, 25),
+    densities=(0.1, 0.3, 0.7),
+    randoms=st.randoms(use_true_random=False),
+):
     """Sparse rows of entries c*pi^(a_i - b_j), present only where a_i >= b_j.
 
     Row and column weights come from 0..4, so ties between candidate pivots
     are common, and every exponent is below REF_N.
     """
     field = draw(st.sampled_from(_FIELDS))
-    nrows, ncols = draw(st.integers(1, 25)), draw(st.integers(1, 25))
-    density = draw(st.sampled_from((0.1, 0.3, 0.7)))
-    rng = draw(st.randoms(use_true_random=False))
+    nrows, ncols = draw(nrows), draw(ncols)
+    density = draw(st.sampled_from(densities))
+    rng = draw(randoms)
     units = _units(field)
     a = [rng.randrange(5) for _ in range(nrows)]
     b = [rng.randrange(5) for _ in range(ncols)]
@@ -289,20 +298,88 @@ def _weight_shaped_matrices(draw):
     return field, rows, ncols
 
 
-@settings(max_examples=60, deadline=None)
-@given(_weight_shaped_matrices())
-def test_eliminate_matches_reference_pivots(drawn):
-    # the valuations and the pivot entries pin the pivot rule, least
-    # valuation, then first row, then first column, and the row swaps and
-    # row operations that follow it
-    field, rows, ncols = drawn
+def _assert_reference_pivots(field, rows, ncols):
+    """_eliminate gives the reference's valuations and pivot entries."""
     nrows = len(rows)
     a = [dict(row) for row in rows]
     got = _eliminate(a, nrows, ncols, field)
     ra = _to_reference(rows, ncols, field)
     vals, _ = ref._eliminate(ra, nrows, ncols)
     assert got == vals
-    assert [dict([a[k][k]]) for k in range(len(vals))] == [ra[k][k].coeffs for k in range(len(vals))]
+    pivots = [dict([a[k][k]]) for k in range(len(vals))]
+    assert pivots == [ra[k][k].coeffs for k in range(len(vals))]
+    # the rows come back as the diagonal, one pivot per row, then empty rows
+    assert a == [{k: a[k][k]} for k in range(len(vals))] + [{}] * (nrows - len(vals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weight_shaped_matrices())
+def test_eliminate_matches_reference_pivots(drawn):
+    # the valuations and the pivot entries pin the pivot rule, least
+    # valuation, then first row, then first column, and the row swaps and
+    # row operations that follow it
+    _assert_reference_pivots(*drawn)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    _weight_shaped_matrices(
+        nrows=st.integers(40, 80),
+        ncols=st.integers(1, 60),
+        densities=(0.05, 0.1),
+        randoms=st.integers(0, 2**32 - 1).map(random.Random),
+    )
+)
+def test_eliminate_matches_reference_pivots_on_tall_sparse_matrices(drawn):
+    # tall and sparse, as boundary maps are: most rows meet few pivot
+    # columns, and fill-in reaches rows far below the pivot. A seeded
+    # Random, as hypothesis would record each of its thousands of draws
+    _assert_reference_pivots(*drawn)
+
+
+def test_eliminate_reaches_an_entry_that_cancels_and_fills_in_again():
+    # exponents all 0, so the pivots are the first entries of rows 0, 1, 2, 3.
+    # Row 3 loses row 0 and its column-2 entry cancels; it loses row 1 and the
+    # entry is filled in again, -1; the pivot of column 2 is row 2's 3, and
+    # row 3 must still be found under that column to lose -1/3 of row 2
+    rows = [
+        {0: mono(0), 2: mono(0)},
+        {1: mono(0), 2: mono(0)},
+        {2: mono(0, 3)},
+        {0: mono(0), 1: mono(0), 2: mono(0), 3: mono(0)},
+    ]
+    _assert_reference_pivots(Q, rows, 4)
+    a = [dict(row) for row in rows]
+    assert _eliminate(a, 4, 4, Q) == [0, 0, 0, 0]
+    assert a == [{0: mono(0)}, {1: mono(0)}, {2: mono(0, 3)}, {3: mono(0)}]
+
+
+def test_eliminate_swaps_rows_past_pivot_rows():
+    # row weights (2, 2, 0, 1) and column weights (0, 0, 0): row 2 pivots
+    # first and row 0 moves to its place, then row 3 pivots and row 1 moves
+    # below row 0, so ids and positions no longer agree
+    rows = [
+        {0: mono(2), 1: mono(2, 2), 2: mono(2, -1)},
+        {0: mono(2, 3), 2: mono(2)},
+        {0: mono(0), 1: mono(0)},
+        {1: mono(1, 2), 2: mono(1)},
+    ]
+    _assert_reference_pivots(Q, rows, 3)
+    for field in (GF2, FieldSpec.prime_field(5)):
+        # the same exponents with the scalars read in the field, zeros dropped
+        mapped = [{j: (e, field.from_int(c)) for j, (e, c) in row.items()} for row in rows]
+        _assert_reference_pivots(field, SeriesMatrix(field, mapped, 3).rows, 3)
+
+
+def test_eliminate_reports_row_operations_in_position_order():
+    # rows 0 and 1 both break the monomial shape against the pivot row 2,
+    # which swaps with row 0; row 1 now comes first, so its message is raised
+    m = _matrix([[mono(2), mono(5)], [mono(1), mono(3)], [mono(0), mono(0)]])
+    with pytest.raises(
+        PrecisionExhausted,
+        match=r"^row operation adds pi\^1 to an entry at pi\^3: entries are not pi-monomials$",
+    ):
+        snf_valuations(m)
 
 
 def test_weighted_boundary_matrix_entries(filled_triangle):

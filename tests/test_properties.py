@@ -75,7 +75,7 @@ def test_engine_matches_oracle_on_corpus(corpus):
 def test_engine_matches_oracle_at_real_sizes(field):
     # the tori carry torsion in H_0 and H_1; the sphere has none
     cases = [
-        (torus_grid_complex(k, random.Random(k)), (1, 2, 1), True) for k in (6, 8, 12, 18, 24)
+        (torus_grid_complex(k, random.Random(k)), (1, 2, 1), True) for k in (6, 8, 12, 18, 24, 40)
     ]
     cases.append((parse_complex_file(simplex_boundary_maximal(5)), (1, 0, 0, 0, 1), False))
     for X, free, torsion in cases:
