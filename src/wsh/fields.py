@@ -53,11 +53,13 @@ def _rational(x):
 
 
 class FieldSpec:
-    """Arithmetic context: the rationals (p is None) or GF(p) for prime p."""
+    """Arithmetic context: the rationals (p is None) or GF(p) for a prime int p."""
 
     __slots__ = ("p",)
 
     def __init__(self, p=None):
+        if p is not None and type(p) is not int:
+            raise ValueError(f"field order must be an int, got {p!r}")
         if p is not None and p >= MAX_FIELD_ORDER:
             raise ValueError(f"field order must be below {MAX_FIELD_ORDER}, got {p!r}")
         if p is not None and not _is_prime(p):

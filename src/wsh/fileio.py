@@ -129,7 +129,11 @@ def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
 
 
 def serialize_complex(X: WeightedComplex) -> str:
-    """Inverse of parse_complex_file up to ordering and formatting."""
+    """Inverse of parse_complex_file up to ordering and formatting; raises
+    ValueError for a vertex label the reader would not read back as itself."""
+    for [label] in X.n_simplices(0):
+        if label.split() != [label] or ";" in label or label[0] in "#!\ufeff":
+            raise ValueError(f"label {label!r} would not read back as one vertex")
     lines = []
     for n in range(X.dim + 1):
         for s in X.n_simplices(n):

@@ -19,9 +19,9 @@ matrix Smith normal form computations, JSC 32, 2001) do. Rows and
 columns keep their ids, and a swap moves them only in position<->id
 permutations. Each column lists the rows that have held an entry in it,
 so a pivot's row operations visit the rows under its column and no
-other row below it. Each row caches its least valuation, and only the
-search for the next pivot still looks at every row left, one cached
-pair each.
+other row below it. Each row's least valuation is cached until a row
+operation; the pivot search still reads every row left, one number
+each, then the pivot column off the pivot row.
 
 Homology from Smith forms. R = F[[pi]] is a principal ideal domain and
 C_n / Z_n is isomorphic to B_(n-1), a submodule of a free module, hence
@@ -141,33 +141,32 @@ def _add_multiple(vec, shift, g, src, field):
             vec[k] = (e, s)
 
 
-def _row_least(row, position):
-    """(least valuation, first column position holding it) of a sparse row,
-    (inf, 0) if empty; position maps a column to its position."""
-    v, at = math.inf, 0
-    for j, (e, _c) in row.items():
-        if e <= v:
-            p = position[j]
-            if e < v or p < at:
-                v, at = e, p
-    return v, at
+def _row_least(row):
+    """Least valuation of a sparse row, inf if empty."""
+    v = math.inf
+    for e, _c in row.values():
+        if e < v:
+            v = e
+            if not v:  # no exponent is negative
+                break
+    return v
 
 
 def _eliminate(a, nrows, ncols, field):
     """Diagonalize the sparse rows a in place with minimal-valuation pivots,
     returning the pivot valuations.
 
-    The pivot is the entry of least valuation, first by row position and
-    then by column position. Rows and columns keep their ids, the indices
-    of a and the keys of its rows, and a swap exchanges two slots of the
-    position<->id permutations. under[J] lists the rows that have held an
-    entry in column J: a row joins it on fill-in and stays when the entry
-    cancels, so it is checked on visit, and a pivot's row operations reach
-    only the rows under its column, in position order. least[i] caches
-    _row_least of row i by column position; a row operation resets it to
-    None, as does a column swap for a row whose minimum sat in the column
-    moved out, and the scan recomputes it on arrival. On return a is the
-    diagonal: {k: pivot k} for each pivot k, then empty rows.
+    The pivot is the entry of least valuation, first by row position and then
+    by column position. Rows and columns keep their ids, the indices of a and
+    the keys of its rows, and a swap exchanges two slots of the position<->id
+    permutations, or none when it swaps a position with itself. under[J] lists
+    the rows that have held an entry in column J: a row joins it on fill-in and
+    stays when the entry cancels, so it is checked on visit, and a pivot's row
+    operations reach only the rows under its column, in position order.
+    least[i] caches the least valuation of row i, which no column swap changes:
+    a row operation resets it to None, and the scan recomputes it on arrival;
+    the pivot column is the pivot row's first position at that valuation. On
+    return a is the diagonal: {k: pivot k} for each pivot k, then empty rows.
     """
     vals = []
     row_at, row_pos = list(range(nrows)), list(range(nrows))
@@ -186,36 +185,30 @@ def _eliminate(a, nrows, ncols, field):
             i = row_at[s]
             m = least[i]
             if m is None:
-                m = least[i] = _row_least(a[i], col_pos)
-            if m[0] < v:
-                v, p = m[0], s
+                m = least[i] = _row_least(a[i])
+            if m < v:
+                v, p = m, s
                 if v == 0:
                     break
         if p is None:
             break
         top = row_at[p]
-        q = least[top][1]
-        J = col_at[q]
-        if p != r:
-            row_at[p], row_at[r] = row_at[r], top
-            row_pos[row_at[p]], row_pos[top] = p, r
-        if q != r:
-            K = col_at[r]
-            col_at[q], col_at[r] = K, J
-            col_pos[K], col_pos[J] = q, r
-            # the rows holding J all meet a row operation or become the
-            # pivot row; a row holding K keeps its minimum unless it was K
-            for i in under[K]:
-                m = least[i]
-                if m is not None and m[1] == r:
-                    least[i] = None
         row_r = a[top]
+        q = ncols
+        for j, (e, _c) in row_r.items():
+            if e == v and col_pos[j] < q:
+                q = col_pos[j]
+        J = col_at[q]
+        row_at[p], row_at[r] = row_at[r], top
+        row_pos[row_at[p]], row_pos[top] = p, r
+        K = col_at[r]
+        col_at[q], col_at[r] = K, J
+        col_pos[K], col_pos[J] = q, r
         pivot = row_r[J]
         # row i loses (lc / pc) * pi^(le - pe) times row r
         neg_inv = field.div(minus_one, pivot[1])
-        column = under[J]
-        column.discard(top)
-        below = [i for i in column if J in a[i]]
+        under[J].discard(top)
+        below = [i for i in under[J] if J in a[i]]
         below.sort(key=row_pos.__getitem__)
         for i in below:
             row = a[i]

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -172,6 +173,14 @@ def test_large_prime_field_accepted_quickly():
     F = FieldSpec.from_name("gf:2305843009213693951")  # 2^61 - 1
     assert time.perf_counter() - t0 < 0.5
     assert F.mul(F.from_int(2**60), F.from_int(2)) == 1
+
+
+@pytest.mark.parametrize("bad", [2.0, 7.5, "5", True, Fraction(5)])
+def test_non_int_field_orders_rejected(bad):
+    # 2.0 would otherwise pass the primality test and give float scalars;
+    # 7.5 and "5" would fail inside it with a TypeError
+    with pytest.raises(ValueError, match=f"^field order must be an int, got {re.escape(repr(bad))}$"):
+        FieldSpec(bad)
 
 
 def test_field_order_cap():

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -257,6 +258,29 @@ def test_round_trip_exact():
 def test_serialize_orders_by_dimension_then_lex():
     X = build_complex([(("b",), 1), (("a",), 1), (("a", "b"), 0)])
     assert serialize_complex(X) == "a ; 1\nb ; 1\na b ; 0\n"
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["#x", "!x", "\ufeffx", "a;b", ";", "a b", " a", "a\t", "", "a\nb", "a\rb"]
+    + [f"a{c}b" for c in NOT_LINE_BREAKS],
+)
+def test_serialize_refuses_labels_the_reader_reads_differently(label):
+    # written out, '#x' would turn its records into comments, 'a b' would be
+    # two vertices, and the rest would be a ParseError or a different label
+    X = build_complex([((label,), 1), (("y",), 1), ((label, "y"), 0)])
+    with pytest.raises(ValueError, match=f"^label {re.escape(repr(label))} would not read back"):
+        serialize_complex(X)
+
+
+def test_serialize_round_trips_non_ascii_labels_and_inner_marks():
+    rng = random.Random(27)
+    pool = ["\u00e9", "Stra\u00dfe", "\u03a9", "a#b", "\u65e5\u672c", "x#", "\u00f1!", "z"]
+    for _ in range(40):
+        Y = random_weighted_complex(rng, max_vertices=len(pool))
+        names = dict(zip((v for [v] in Y.n_simplices(0)), rng.sample(pool, len(pool))))
+        X = build_complex([(tuple(names[v] for v in s), Y.weight(s)) for s in Y.simplices()])
+        assert parse_complex_file(serialize_complex(X)) == X
 
 
 def test_text_report_layout():

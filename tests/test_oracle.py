@@ -70,16 +70,13 @@ def _from_reference(m):
 
 def test_series_construction_and_valuation():
     # a zero scalar is a zero entry, and any exponent is kept; the valuation
-    # of a row is its least exponent, first column first
+    # of a row is its least exponent, inf for an empty row
     m = SeriesMatrix(Q, [{0: mono(0, 0), 1: mono(2, 2), 2: mono(1)}, {0: mono(3)}], 3)
     assert m.rows == [{1: mono(2, 2), 2: mono(1)}, {0: mono(3)}]
-    same = range(4)
-    assert _row_least(m.rows[0], same) == (1, 2)
-    assert _row_least({3: mono(1), 0: mono(1, 5), 2: mono(0, 2)}, same) == (0, 2)
-    assert _row_least({3: mono(1), 0: mono(1, 5)}, same) == (1, 0)
-    assert _row_least({}, same) == (math.inf, 0)
-    # a tie goes to the first column position, not the first column id
-    assert _row_least({3: mono(1), 0: mono(1, 5)}, [3, 1, 2, 0]) == (1, 0)
+    assert _row_least(m.rows[0]) == 1
+    assert _row_least({3: mono(1), 0: mono(1, 5), 2: mono(0, 2)}) == 0
+    assert _row_least({3: mono(1), 0: mono(1, 5)}) == 1
+    assert _row_least({}) == math.inf
     with pytest.raises(ValueError, match="negative exponent"):
         SeriesMatrix(Q, [{0: mono(-1)}], 1)
 
@@ -369,6 +366,13 @@ def test_eliminate_swaps_rows_past_pivot_rows():
         # the same exponents with the scalars read in the field, zeros dropped
         mapped = [{j: (e, field.from_int(c)) for j, (e, c) in row.items()} for row in rows]
         _assert_reference_pivots(field, SeriesMatrix(field, mapped, 3).rows, 3)
+
+
+def test_eliminate_reads_the_pivot_column_by_position_after_a_swap():
+    # the first pivot swaps column 2 into position 0 and column 0 into
+    # position 2; row 1 then ties at valuation 1 in columns 0 and 1, and the
+    # tie goes to the first column position, column 1, not the first id
+    _assert_reference_pivots(Q, [{2: mono(0)}, {0: mono(1, 5), 1: mono(1, 7)}], 3)
 
 
 def test_eliminate_reports_row_operations_in_position_order():
