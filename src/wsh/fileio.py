@@ -178,6 +178,11 @@ _PAIR_MU = f'{_NL[5]}],{_NL[5]}"mu": [{_NL[6]}'
 _PAIR_M = f'{_NL[5]}],{_NL[5]}"m": '
 _TERM_SIMPLEX = f',{_NL[6]}{{{_NL[7]}"simplex": [{_NL[8]}'
 _TERM_POLY = f'{_NL[7]}],{_NL[7]}"poly": '
+# a poly of one pi-monomial, as every lifted coordinate is: its exponent,
+# then its scalar, then the closing brackets of the term
+_MONOMIAL_EXP = f"{_TERM_POLY}[{_NL[8]}[{_NL[9]}"
+_MONOMIAL_SCALAR = "," + _NL[9]
+_MONOMIAL_END = f"{_NL[8]}]{_NL[7]}]{_NL[6]}}}"
 _SEP6 = "," + _NL[6]
 _SEP8 = "," + _NL[8]
 
@@ -208,7 +213,9 @@ def render_json_report(modules, field) -> str:
     The text is exactly json.dumps(report, indent=2) + "\n" of the object
     {"field": ..., "dimensions": [{"n", "free_rank", "torsion", "pairs"
     [, "generators"]}, ...]}, with "generators" present exactly when the
-    module's generators are not None. It is written here piece by piece:
+    module's generators are not None. It is written here piece by piece,
+    a term whose poly is one pi-monomial, as every lifted coordinate is, in
+    one f-string and any other poly through the list writer:
     CPython runs its C encoder only when indent is None, and the pure-Python
     one it falls back to took longer than the homology itself on large
     reports with generators. Strings still go through the stdlib's C
@@ -237,15 +244,24 @@ def render_json_report(modules, field) -> str:
             for chain in mod.generators:
                 append(f',{_NL[4]}{{{_NL[5]}"terms": ')
                 terms = len(out)
-                for s in sorted(chain.terms):
-                    poly = [
-                        f"[{_NL[9]}{_int(e)},{_NL[9]}{_str(to_str(c))}{_NL[8]}]"
-                        for e, c in chain.terms[s]
-                    ]
-                    append(
-                        f"{_TERM_SIMPLEX}{_SEP8.join(map(_str, s))}{_TERM_POLY}"
-                        f"{_json_list(poly, 7)}{_NL[6]}}}"
-                    )
+                polys = chain.terms
+                for s in sorted(polys):
+                    poly = polys[s]
+                    if len(poly) == 1:
+                        [(e, c)] = poly
+                        append(
+                            f"{_TERM_SIMPLEX}{_SEP8.join(map(_str, s))}{_MONOMIAL_EXP}{_int(e)}"
+                            f"{_MONOMIAL_SCALAR}{_str(to_str(c))}{_MONOMIAL_END}"
+                        )
+                    else:
+                        entries = [
+                            f"[{_NL[9]}{_int(e)},{_NL[9]}{_str(to_str(c))}{_NL[8]}]"
+                            for e, c in poly
+                        ]
+                        append(
+                            f"{_TERM_SIMPLEX}{_SEP8.join(map(_str, s))}{_TERM_POLY}"
+                            f"{_json_list(entries, 7)}{_NL[6]}}}"
+                        )
                 _close_list(out, terms, 5)
                 append(_NL[4] + "}")
             _close_list(out, gens, 3)

@@ -350,8 +350,9 @@ def _pusher(forest, field):
     coefficient up * d, which cancels d, and adds d to its parent's demand;
     a demand that is zero stops there. A chain of tree edges is fixed by its
     boundary, so this is the cycle, and the work follows its size. The
-    cycle lists the owner part first, then the tree edges by processing
-    position.
+    cycle lists the owner part first, then the tree edges as the push
+    reaches them; lifting sorts by simplex, and cycle_basis(X, 1) puts the
+    tree edges in processing order itself.
     """
     from heapq import heapify, heappop, heappush  # only generators need a heap
 
@@ -366,20 +367,20 @@ def _pusher(forest, field):
         # ranks negated: heapq pops the smallest
         heap = [-v for v in demand]
         heapify(heap)
-        tree = {}
+        cycle = dict(part)
         while heap:
             v = -heappop(heap)
             d = demand.pop(v)
             if is_zero(d):
                 continue
             up_rank, i, up = link[v]
-            tree[i] = mul(up, d)
+            cycle[order[i]] = mul(up, d)
             if up_rank in demand:
                 demand[up_rank] = add(demand[up_rank], d)
             else:
                 demand[up_rank] = d
                 heappush(heap, -up_rank)
-        return {**part, **{order[i]: tree[i] for i in sorted(tree)}}
+        return cycle
 
     return push
 
@@ -402,9 +403,32 @@ def cycle_basis(X: WeightedComplex, n: int, field: FieldSpec) -> CycleBasis:
         raise DimensionOutOfRange(n)
     basis = _split(X, n, field, with_cycles=True)
     if n == 1:
+        # the owner first, then the tree edges in processing order, as _reduce lists them
+        order = basis._forest[0]
+        position = {s: i for i, s in enumerate(order)}
         push, one = _pusher(basis._forest, field), field.one()
-        basis.cycles = {s: push({s: one}) for s in basis.dependent}
+        for s in basis.dependent:
+            tree = push({s: one})
+            del tree[s]
+            basis.cycles[s] = {s: one, **{t: tree[t] for t in sorted(tree, key=position.get)}}
     return basis
+
+
+def _lift(chain, weight_of):
+    """lift_cycle without its checks, weighing each simplex by weight_of.
+
+    chain must be nonzero, hold no zero coefficient and simplices of one
+    dimension only, and weight_of must take each of its keys. The chains
+    the generators lift always do: row coefficients come from columns that
+    drop cancelled entries, the push writes a tree edge only for a nonzero
+    demand, and higher cycles are summed by _add_multiple, which deletes
+    cancelled keys. The terms come sorted by simplex.
+    """
+    support = sorted(chain)
+    weights = list(map(weight_of, support))
+    wmin = min(weights)
+    terms = {s: ((w - wmin, chain[s]),) for s, w in zip(support, weights)}
+    return WeightedChain(len(support[0]) - 1, terms)
 
 
 def lift_cycle(chain: dict, X: WeightedComplex, field: FieldSpec) -> WeightedChain:
@@ -412,17 +436,17 @@ def lift_cycle(chain: dict, X: WeightedComplex, field: FieldSpec) -> WeightedCha
 
     The result is a cycle of the weighted boundary map whenever the input
     is a cycle of the ordinary one, and at least one exponent is zero.
+    Zero coefficients are dropped, and a simplex may list its vertices in
+    any order X.weight accepts; the result keeps the keys as given. Raises
+    ZeroChain when nothing is left and MismatchedDimensions when the
+    simplices differ in dimension.
     """
-    support = [s for s, c in chain.items() if not field.is_zero(c)]
+    support = {s: c for s, c in chain.items() if not field.is_zero(c)}
     if not support:
         raise ZeroChain("cannot lift a zero chain")
-    dims = {len(s) for s in support}
-    if len(dims) != 1:
+    if len({len(s) for s in support}) != 1:
         raise MismatchedDimensions("chain mixes simplices of different dimensions")
-    weight = {s: X.weight(s) for s in support}
-    wmin = min(weight.values())
-    terms = {s: ((weight[s] - wmin, chain[s]),) for s in sorted(support)}
-    return WeightedChain(len(support[0]) - 1, terms)
+    return _lift(support, X.weight)
 
 
 def simplex_pairing(
@@ -490,10 +514,10 @@ def _module_from_pairing(X, n, basis_n, pairing, field, with_generators):
                 for owner, coeff in part.items():
                     _add_multiple(chain, coeff, basis_n.cycles[owner], field)
                 return chain
-        one = field.one()
-        generators = [lift_cycle(chain_of({kappa: one}), X, field) for kappa in pairing.unpaired]
+        one, weight_of = field.one(), X._weights.__getitem__
+        generators = [_lift(chain_of({kappa: one}), weight_of) for kappa in pairing.unpaired]
         for i in torsion_pairs:
-            lifted = lift_cycle(chain_of(pairing.row_coefficients[i]), X, field)
+            lifted = _lift(chain_of(pairing.row_coefficients[i]), weight_of)
             # the paired owner, in its own cycle alone at the nonzero pivot
             # entry, keeps the minimal weight: its lifted exponent is zero
             kappa = pairing.pairs[i].kappa

@@ -216,15 +216,28 @@ def relabel_violations(X, field, rng):
 def generator_violations(X, field):
     """Generators are weighted cycles, and pi^m times a torsion generator is a boundary.
 
-    The boundary check is one elimination per dimension for all torsion
-    generators together; only when it fails is each generator checked alone,
-    to name the failing ones.
+    Every term must be an n-simplex of X with no zero coefficient: the
+    library lifts its chains without filtering them, so a zero written
+    into a chain would reach the report. The boundary check is one
+    elimination per dimension for all torsion generators together; only
+    when it fails is each generator checked alone, to name the failing ones.
     """
     bad = []
     for mod in homology_all(X, field, with_generators=True):
         n = mod.n
         if len(mod.generators) != mod.free_rank + len(mod.torsion):
             bad.append(f"n={n}: generator count mismatch")
+            continue
+        simplices = set(X.n_simplices(n))
+        malformed = []
+        for gen in mod.generators:
+            for s, poly in gen.terms.items():
+                if s not in simplices:
+                    malformed.append(f"n={n}: generator term {s} is not an n-simplex of X")
+                elif any(field.is_zero(c) for _e, c in poly):
+                    malformed.append(f"n={n}: generator term {s} has a zero coefficient")
+        if malformed:
+            bad += malformed
             continue
         lower = weighted_boundary_matrix(X, n, field) if n >= 1 else None
         vecs = [chain_to_series(gen, X, field) for gen in mod.generators]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -22,7 +23,7 @@ from wsh.fileio import (
     render_text_report,
     serialize_complex,
 )
-from wsh.homology import homology, homology_all
+from wsh.homology import WeightedChain, homology, homology_all
 from .conftest import NOT_LINE_BREAKS, RATIONALS as Q
 from .conftest import glued_triangles_complex, random_weighted_complex, tetra_boundary_complex
 from .reference_report import render_json_report_reference
@@ -382,3 +383,33 @@ def test_json_report_matches_json_dumps_byte_for_byte(seed, labels, field, with_
     assert render_json_report(modules, field) == render_json_report_reference(
         modules, field, with_generators
     )
+
+
+def test_json_report_writes_any_poly_length_as_json_dumps():
+    # lift_cycle makes every coordinate one pi-monomial; a chain built by
+    # hand may hold longer polys, or none, which take the list writer
+    module = homology(glued_triangles_complex(), 1, Q, with_generators=True)
+    half, minus_three = Q.div(Q.one(), Q.from_int(2)), Q.from_int(-3)
+    chains = [
+        WeightedChain(
+            1,
+            {
+                ("b", "c"): ((0, Q.one()), (2, minus_three)),
+                ("a", "b"): (),
+                ("a", "c"): ((1, half),),
+                ("b", "d"): ((0, Q.one()), (1, half), (4, minus_three)),
+            },
+        ),
+        WeightedChain(1, {}),
+        WeightedChain(1, {("c", "d"): ((3, minus_three),)}),
+    ]
+    modules = [dataclasses.replace(module, generators=chains)]
+    text = render_json_report(modules, Q)
+    assert text == render_json_report_reference(modules, Q, with_generators=True)
+    terms = json.loads(text)["dimensions"][0]["generators"][0]["terms"]
+    assert [t["poly"] for t in terms] == [
+        [],
+        [[1, "1/2"]],
+        [[0, "1"], [2, "-3"]],
+        [[0, "1"], [1, "1/2"], [4, "-3"]],
+    ]

@@ -95,6 +95,23 @@ def test_lift_cycle_errors(hollow_triangle):
         lift_cycle({("a",): Q.one(), ("a", "b"): Q.one()}, hollow_triangle, Q)
 
 
+def test_lift_cycle_accepts_any_vertex_order(glued_triangles):
+    # X.weight takes ("b", "a") for the edge {a, b}; the lift keeps the key as given
+    chain = {("b", "a"): Q.one(), ("a", "c"): Q.neg(Q.one()), ("b", "c"): Q.one()}
+    lifted = lift_cycle(chain, glued_triangles, Q)
+    assert lifted.n == 1
+    assert lifted.terms == {s: ((0, c),) for s, c in sorted(chain.items())}
+    assert list(lifted.terms) == [("a", "c"), ("b", "a"), ("b", "c")]
+    # and each spelling is weighed: {b, d} and {c, d} are one lighter than {b, c}
+    chain = {("c", "b"): Q.one(), ("d", "c"): Q.one(), ("b", "d"): Q.one()}
+    lifted = lift_cycle(chain, glued_triangles, Q)
+    assert lifted.terms == {
+        ("b", "d"): ((0, Q.one()),),
+        ("c", "b"): ((1, Q.one()),),
+        ("d", "c"): ((0, Q.one()),),
+    }
+
+
 def test_pairing_filled_triangle(filled_triangle):
     pairing = homology(filled_triangle, 1, Q).pairing
     assert [(p.kappa, p.mu, p.m) for p in pairing.pairs] == [

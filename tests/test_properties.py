@@ -114,6 +114,26 @@ def test_generator_check_names_a_lowered_exponent(monkeypatch):
     ]
 
 
+def test_generator_check_names_zero_coefficients_and_stray_simplices(monkeypatch):
+    # the lift filters nothing, so the check must see a zero coefficient and
+    # a term that is no simplex of the generator's dimension
+    X = torus_grid_complex(6, random.Random(6))
+    honest = invariants.homology_all
+    vertex, edge = X.n_simplices(0)[0], X.n_simplices(1)[0]
+
+    def spoiled(*args, **kwargs):
+        mods = honest(*args, **kwargs)
+        mods[1].generators[0].terms[edge] = ((0, GF2.zero()),)
+        mods[1].generators[-1].terms[vertex] = ((0, GF2.one()),)
+        return mods
+
+    monkeypatch.setattr(invariants, "homology_all", spoiled)
+    assert invariants.generator_violations(X, GF2) == [
+        f"n=1: generator term {edge} has a zero coefficient",
+        f"n=1: generator term {vertex} is not an n-simplex of X",
+    ]
+
+
 def test_free_rank_equals_betti_number(corpus):
     # with all weights equal the module is torsion free and the free rank
     # is the classical Betti number; check via the weight-shift trick of
