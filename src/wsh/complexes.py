@@ -12,8 +12,9 @@ the i-th smallest vertex and carries sign (-1)^i.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 from .errors import (
     DimensionOutOfRange,
@@ -64,10 +65,16 @@ class WeightedComplex:
 
     def __init__(self, weight_by_labels):
         self._weights = weight_by_labels
-        self.dim = max(len(s) for s in self._weights) - 1
-        per_dim = [[] for _ in range(self.dim + 1)]
-        for s in self._weights:
-            per_dim[len(s) - 1].append(s)
+        # one walk over the simplices; a list per dimension is added when
+        # the first simplex of that size or larger comes
+        per_dim = []
+        for s in weight_by_labels:
+            try:
+                per_dim[len(s) - 1].append(s)
+            except IndexError:
+                per_dim.extend([] for _ in range(len(s) - len(per_dim)))
+                per_dim[-1].append(s)
+        self.dim = len(per_dim) - 1
         self._per_dim = tuple(tuple(sorted(d)) for d in per_dim)
 
     def __contains__(self, simplex):
@@ -168,7 +175,11 @@ def _heaviest_cofaces(listed):
     closure of the listed simplices (a listed simplex contains itself).
 
     Top-down, one dimension at a time: every simplex of the closure pushes
-    its value to its facets once, so the work is linear in the faces.
+    its value to its facets once, so the work is linear in the faces. The
+    simplices of a level are grouped by weight, and each group's facets are
+    generated and stored in one C-level pass (itertools.combinations into
+    dict.fromkeys), lightest group first: a face pushed by several cofaces
+    is overwritten by each heavier one, so it keeps the heaviest weight.
     """
     by_size = {}
     for s, w in listed.items():
@@ -180,13 +191,15 @@ def _heaviest_cofaces(listed):
             if level.get(s, -1) < w:
                 level[s] = w
         out.update(level)
-        # the vertices push to the empty face, which is never read
-        below = {}
+        if k == 1:
+            break
+        by_weight = defaultdict(list)
         for s, w in level.items():
-            for face in combinations(s, k - 1):
-                if below.get(face, -1) < w:
-                    below[face] = w
-        level = below
+            by_weight[w].append(s)
+        level = {}
+        for w in sorted(by_weight):
+            faces = chain.from_iterable(map(combinations, by_weight[w], repeat(k - 1)))
+            level.update(dict.fromkeys(faces, w))
     return out
 
 

@@ -80,14 +80,14 @@ def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
     """
     default = None  # the weight W of a '!maximal W' file, whose records are bare
     weights = {}  # {sorted labels: weight}, the records in file order
-    line_of = {}
+    lines = []  # the line of each record, in the same order
     # a byte order mark is not part of the first label or directive
     text = text.removeprefix("\ufeff")
     for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        if line.startswith("!"):
+        if line[0] == "!":
             if weights or default is not None:
                 raise ParseError(lineno, "directives must precede all records")
             parts = line[1:].split()
@@ -96,9 +96,9 @@ def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
             default = _weight(lineno, parts[1], "default weight")
             continue
         if default is None:
-            if line.count(";") != 1:
+            left, semicolon, weight = line.partition(";")
+            if not semicolon or ";" in weight:
                 raise ParseError(lineno, "expected 'v1 v2 ... ; weight'")
-            left, weight = line.split(";")
             labels = left.split()
             if not labels:
                 raise ParseError(lineno, "record has no vertices")
@@ -112,12 +112,11 @@ def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
         if default is None:
             weight = _weight(lineno, weight.strip(), "weight")
         key = tuple(sorted(labels))
-        if key in line_of:
-            raise ParseError(
-                lineno, f"simplex {' '.join(key)!r} already given on line {line_of[key]}"
-            )
-        line_of[key] = lineno
         weights[key] = weight
+        if len(weights) == len(lines):  # key was already there
+            first = dict(zip(weights, lines))[key]
+            raise ParseError(lineno, f"simplex {' '.join(key)!r} already given on line {first}")
+        lines.append(lineno)
 
     if not weights:
         raise EmptyInput("no simplices in input")
@@ -125,7 +124,7 @@ def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
         # the records are canonical already: sorted, distinct, with valid weights
         return _completed(weights) if complete or default is not None else _closed(weights)
     except ComplexError as err:
-        _decorate(err, line_of)
+        _decorate(err, dict(zip(weights, lines)))
 
 
 def serialize_complex(X: WeightedComplex) -> str:

@@ -12,8 +12,9 @@ Every boundary map above the edges' is reduced once, by one sparse
 column reduction (_reduce) over {position: scalar} vectors. It takes the
 n-simplices in processing order, decreasing weight with ties in
 ascending lexicographic order, and reads each boundary column straight
-off the simplex's faces, one lookup per face in the map of a given list
-of rows; faces off the list are dropped, and no boundary matrix is
+off the simplex's faces, as itertools.combinations yields them, last
+vertex dropped first, with one lookup per face in the map of a given
+list of rows; faces off the list are dropped, and no boundary matrix is
 built. Each column pivots on its smallest position in that list.
 A column that reduces to zero marks a dependent simplex, and the chain
 whose boundary it was becomes that simplex's cycle: the owner has
@@ -68,12 +69,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
+from itertools import combinations
 from typing import NamedTuple
+
+from .complexes import WeightedComplex, _canonical_labels
 
 # boundary_exponent_matrix is not called here; it stays bound for
 # perfbench/tracing.py, which looks it up through this module
-from .complexes import WeightedComplex, boundary_exponent_matrix  # noqa: F401
-from .errors import ComplexError, DimensionOutOfRange, MismatchedDimensions, ZeroChain
+from .complexes import boundary_exponent_matrix  # noqa: F401
+from .errors import (
+    ComplexError,
+    DimensionOutOfRange,
+    DuplicateSimplex,
+    MismatchedDimensions,
+    ZeroChain,
+)
 from .fields import FieldSpec
 
 __all__ = [
@@ -192,10 +202,11 @@ def _processing_order(X, n):
 def _reduce(X, n, rows, field, with_cycles):
     """Reduce the boundary columns of the n-simplices, restricted to rows.
 
-    Columns are taken in processing order. Each is read off its simplex s:
-    the i-th face s[:i] + s[i+1:], with sign (-1)^i, is looked up in the
-    {row simplex: position} map of rows and kept when found there. Every
-    face must be in the complex, as WeightedComplex assumes: a face
+    Columns are taken in processing order. Each is read off its simplex s
+    in one C-level pass: every face itertools.combinations yields is looked
+    up in the {row simplex: position} map of rows and signed by the vertex
+    it drops, and the faces not found there, all keyed None, are dropped.
+    Every face must be in the complex, as WeightedComplex assumes: a face
     missing from it would be read as one off the rows. Each column pivots
     on its smallest position in rows. Without chains, the loop stops once
     the pivots reach the rank bound, len(rows); the simplices left are
@@ -205,13 +216,14 @@ def _reduce(X, n, rows, field, with_cycles):
     when with_cycles is set (no chains are carried otherwise), and a dict
     mapping each pivot position to (independent simplex that took it, its
     pivot entry, the rest of its column and its chain at that moment,
-    negated inverse of the pivot entry), the rest as {position: scalar}
-    over positions past the pivot. A later column with entry c at that
-    pivot adds f = c times the negated inverse times the stored column,
-    which cancels c exactly: each step pops c and is one _add_multiple of
-    f times the rest onto the column and, with chains, one of f times the
-    stored chain onto the chain. For n = 0 the boundary is zero, and every
-    vertex is dependent and owns the one-term cycle of itself.
+    negated inverse of the pivot entry, computed as -1 / entry), the rest
+    as {position: scalar} over positions past the pivot. A later column
+    with entry c at that pivot adds f = c times the negated inverse times
+    the stored column, which cancels c exactly: each step pops c and is
+    one _add_multiple of f times the rest onto the column and, with
+    chains, one of f times the stored chain onto the chain. For n = 0 the
+    boundary is zero, and every vertex is dependent and owns the one-term
+    cycle of itself.
     """
     if not X.n_simplices(n):
         return CycleBasis(n, [], [], {}), {}
@@ -220,9 +232,10 @@ def _reduce(X, n, rows, field, with_cycles):
         cycles = {v: {v: field.one()} for v in order} if with_cycles else {}
         return CycleBasis(0, order, [], cycles), {}
     position = {s: k for k, s in enumerate(rows)}
-    # the i-th face drops the i-th smallest vertex and has sign (-1)^i
+    # combinations drops the last vertex first: the j-th face it yields
+    # drops the (n - j)-th smallest vertex and has sign (-1)^(n - j)
     plus, minus = field.from_int(1), field.from_int(-1)
-    drops = [(i, plus if i % 2 == 0 else minus) for i in range(n + 1)]
+    signs = [plus if (n - j) % 2 == 0 else minus for j in range(n + 1)]
     # once the bound is met every later column reduces to zero; only its
     # chain, when carried, is left to compute
     bound = None if with_cycles else len(rows)
@@ -233,11 +246,9 @@ def _reduce(X, n, rows, field, with_cycles):
         if len(reduced) == bound:
             dependent += order[i:]
             break
-        column = {}
-        for d, sign in drops:
-            k = position.get(s[:d] + s[d + 1 :])
-            if k is not None:
-                column[k] = sign
+        column = dict(zip(map(position.get, combinations(s, n)), signs))
+        # every face off the rows was keyed None
+        column.pop(None, None)
         chain = {i: field.one()} if with_cycles else {}
         while column:
             pivot = min(column)
@@ -250,7 +261,7 @@ def _reduce(X, n, rows, field, with_cycles):
                 _add_multiple(chain, f, pivot_chain, field)
         if column:
             c = column.pop(pivot)
-            reduced[pivot] = (s, c, column, chain, field.neg(field.inv(c)))
+            reduced[pivot] = (s, c, column, chain, field.div(minus, c))
             independent.append(s)
         else:
             dependent.append(s)
@@ -438,14 +449,21 @@ def lift_cycle(chain: dict, X: WeightedComplex, field: FieldSpec) -> WeightedCha
     is a cycle of the ordinary one, and at least one exponent is zero.
     Zero coefficients are dropped, and a simplex may list its vertices in
     any order X.weight accepts; the result keeps the keys as given. Raises
-    ZeroChain when nothing is left and MismatchedDimensions when the
-    simplices differ in dimension.
+    ZeroChain when nothing is left, MismatchedDimensions when the
+    simplices differ in dimension, and DuplicateSimplex, naming the sorted
+    simplex, when two keys left are spellings of one simplex.
     """
     support = {s: c for s, c in chain.items() if not field.is_zero(c)}
     if not support:
         raise ZeroChain("cannot lift a zero chain")
     if len({len(s) for s in support}) != 1:
         raise MismatchedDimensions("chain mixes simplices of different dimensions")
+    seen = set()
+    for s in support:
+        labels = _canonical_labels(s)
+        if labels in seen:
+            raise DuplicateSimplex(labels)
+        seen.add(labels)
     return _lift(support, X.weight)
 
 
@@ -487,9 +505,12 @@ def simplex_pairing(
                 f"pair {{{' '.join(kappa)}}} / {{{' '.join(mu)}}} has negative exponent {m}: "
                 "weights must not increase from a face to its coface"
             )
-        pairs.append(PairedSimplices(kappa, mu, m))
+        pairs.append(PairedSimplices._make((kappa, mu, m)))
         # the column at pivot time: kappa, then the rest by position
-        row_coeffs.append({kappa: c, **{owners[i]: rest[i] for i in sorted(rest)}})
+        row = {kappa: c}
+        for i in sorted(rest):
+            row[owners[i]] = rest[i]
+        row_coeffs.append(row)
     return SimplexPairing(n, pairs, unpaired, row_coeffs, up)
 
 

@@ -111,6 +111,22 @@ def test_vertex_against_triangles_reports_first_heavier_in_file_order():
     assert str(ei.value) == "line 2: weight of face {a} is 1 but its coface {a c d} has weight 2"
 
 
+def test_face_of_three_cofaces_takes_the_heaviest_in_any_listing_order():
+    # the edge a b lies in three listed triangles of weights 1, 3 and 2
+    cofaces = [(("a", "b", "c"), 1), (("a", "b", "d"), 3), (("a", "b", "e"), 2)]
+    expected = {
+        ("a",): 3, ("b",): 3, ("c",): 1, ("d",): 3, ("e",): 2,
+        ("a", "b"): 3, ("a", "c"): 1, ("b", "c"): 1,
+        ("a", "d"): 3, ("b", "d"): 3, ("a", "e"): 2, ("b", "e"): 2,
+    }
+    for records in itertools.permutations(cofaces):
+        X = complete_faces(records)
+        assert X == reference_complexes.complete_faces(records)
+        assert len(X) == 15
+        for s, w in [*expected.items(), *cofaces]:
+            assert X.weight(s) == w, (records, s)
+
+
 BIG = tuple(f"x{i:02d}" for i in range(64))
 
 

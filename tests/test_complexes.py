@@ -325,3 +325,19 @@ def test_complex_equality_and_weight_lookup():
     for simplex in ((), [], ("A", "A"), ["B", "B"]):
         with pytest.raises(InvalidSimplex):
             X.weight(simplex)
+
+
+def test_listing_order_does_not_change_the_dimensions():
+    # the per-dimension lists grow as the first simplex of a new size comes
+    X = torus_grid_complex(4, random.Random(4))
+    items = list(X._weights.items())
+    random.Random(1).shuffle(items)
+    bottom_up = WeightedComplex(dict(sorted(items, key=lambda kv: len(kv[0]))))
+    assert bottom_up.dim == 2
+    assert [len(bottom_up.n_simplices(n)) for n in range(3)] == [16, 48, 32]
+    top_first = sorted(items, key=lambda kv: -len(kv[0]))
+    for listing in (top_first, items):
+        Y = WeightedComplex(dict(listing))
+        assert Y.dim == bottom_up.dim
+        for n in range(-1, Y.dim + 2):
+            assert Y.n_simplices(n) == bottom_up.n_simplices(n)

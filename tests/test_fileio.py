@@ -101,6 +101,8 @@ _TOO_BIG_REASON = (
     "simplex with 21 vertices would have 2097151 faces; "
     "filling in faces takes at most 20 vertices (1048575 faces)"
 )
+# past the 4,300 digits that int() converts from a string by default
+_HUGE_WEIGHT = "1" * 5000
 # (text, complete, exception type, .line, str(exception)), every reader error
 # under the weighted header first, then under '!maximal W'
 _READER_ERRORS = [
@@ -108,11 +110,18 @@ _READER_ERRORS = [
     ("a ; 1 ; 2\n", False, ParseError, 1, "line 1: expected 'v1 v2 ... ; weight'"),
     ("; 1\n", False, ParseError, 1, "line 1: record has no vertices"),
     ("a ; x\n", False, ParseError, 1, "line 1: bad weight 'x': expected ASCII digits 0-9"),
+    ("a ;\n", False, ParseError, 1, "line 1: bad weight '': expected ASCII digits 0-9"),
+    ("a ; 1 2\n", False, ParseError, 1, "line 1: bad weight '1 2': expected ASCII digits 0-9"),
+    pytest.param(f"a ; {_HUGE_WEIGHT}\n", False, ParseError, 1,
+                 f"line 1: bad weight '{_HUGE_WEIGHT}': expected ASCII digits 0-9",
+                 id="5000-digit weight"),
     ("a  a ; 1\n", False, ParseError, 1, "line 1: repeated vertex in 'a a'"),
     ("a a ; x\n", False, ParseError, 1, "line 1: repeated vertex in 'a a'"),
     ("!frobnicate 3\na ; 1\n", False, ParseError, 1, "line 1: unknown directive '!frobnicate 3'"),
     ("a ; 1\n!maximal 0\n", False, ParseError, 2, "line 2: directives must precede all records"),
     ("a ; 1\n\na ; 1\n", False, ParseError, 3, "line 3: simplex 'a' already given on line 1"),
+    ("a ; 1\n# c\n\nb ; 2\na ; 3\n", False, ParseError, 5,
+     "line 5: simplex 'a' already given on line 1"),
     ("a ; 1\nb ; 1\na b ; 1\nb a ; 1\n", True, ParseError, 4,
      "line 4: simplex 'a b' already given on line 3"),
     ("a b ; 1\na ; 1\n", False, MissingFace, 1, "line 1: face {b} of {a b} is not in the complex"),

@@ -12,7 +12,7 @@ import pytest
 
 import wsh
 from wsh.complexes import build_complex, from_maximal
-from wsh.errors import DimensionOutOfRange, MismatchedDimensions, ZeroChain
+from wsh.errors import DimensionOutOfRange, DuplicateSimplex, MismatchedDimensions, ZeroChain
 from wsh.fields import FieldSpec
 from wsh.fileio import render_json_report
 from wsh.homology import cycle_basis, homology, homology_all, lift_cycle
@@ -110,6 +110,20 @@ def test_lift_cycle_accepts_any_vertex_order(glued_triangles):
         ("c", "b"): ((1, Q.one()),),
         ("d", "c"): ((0, Q.one()),),
     }
+
+
+def test_lift_cycle_refuses_two_spellings_of_one_simplex(glued_triangles):
+    # ab + ba names the edge {a, b} twice: one simplex, not two terms
+    for chain in (
+        {("a", "b"): Q.one(), ("b", "a"): Q.one()},
+        {("b", "c"): Q.one(), ("b", "a"): Q.one(), ("a", "b"): Q.neg(Q.one())},
+    ):
+        with pytest.raises(DuplicateSimplex, match=r"^simplex \{a b\} listed more than once$") as ei:
+            lift_cycle(chain, glued_triangles, Q)
+        assert ei.value.simplex == ("a", "b")
+    # a spelling whose coefficient is zero is dropped before the check
+    lifted = lift_cycle({("a", "b"): Q.one(), ("b", "a"): Q.zero()}, glued_triangles, Q)
+    assert list(lifted.terms) == [("a", "b")]
 
 
 def test_pairing_filled_triangle(filled_triangle):
