@@ -71,10 +71,6 @@ class FieldSpec:
         return cls(None)
 
     @classmethod
-    def prime_field(cls, p: int) -> "FieldSpec":
-        return cls(p)
-
-    @classmethod
     def from_name(cls, name: str) -> "FieldSpec":
         """Parse 'rational' or 'gf:<p>'."""
         if name == "rational":

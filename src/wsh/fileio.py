@@ -2,7 +2,7 @@
 
 The file format is line based. Each record is the vertices of a simplex
 separated by whitespace, then a semicolon, then a non-negative integer
-weight written in ASCII digits:
+weight written in at most MAX_WEIGHT_DIGITS ASCII digits:
 
     a b c ; 2
 
@@ -42,6 +42,10 @@ __all__ = [
     "split_lines",
 ]
 
+# the digits int() converts from a string under CPython's default limit; a
+# fixed cap makes whether a file reads independent of the interpreter's setting
+MAX_WEIGHT_DIGITS = 4300
+
 
 def split_lines(text: str) -> list:
     """Lines as `wc -l` counts them: str.splitlines also breaks at \\v, \\f,
@@ -64,10 +68,10 @@ def _decorate(err, line_of):
 
 def _weight(lineno, text, what):
     # int() alone would also take '1_0', '+3' and non-ASCII digits such as '٣'
-    if text.isascii() and text.isdigit():
+    if text.isascii() and text.isdigit() and len(text) <= MAX_WEIGHT_DIGITS:
         try:
             return int(text)
-        except ValueError:  # more digits than the interpreter converts
+        except ValueError:  # the interpreter's limit was lowered below the cap
             pass
     raise ParseError(lineno, f"bad {what} {text!r}: expected ASCII digits 0-9")
 

@@ -52,8 +52,10 @@ and the coordinate of a boundary on a cycle is the signed incidence
 number of its owner. An independent (n+1)-simplex mu whose column
 pivots on owner kappa is paired with it, and the weight drop kappa -> mu
 is the bar length. Its column at pivot time, kept unscaled, expresses
-the boundary of a chain ending in mu over the cycles, and drives the
-torsion generator of the pair.
+the boundary of a chain ending in mu over the cycles. The pairing keeps
+it as the reduction stored it, the pivot entry and the rest keyed by
+owner position, and only a torsion generator reads it, mapping the
+positions to owners as it builds its chain.
 
 These are the pairs and columns of the row elimination that scans the
 owners by increasing weight, lets each take the first live image, by
@@ -143,18 +145,20 @@ class PairedSimplices(NamedTuple):
 class SimplexPairing:
     """Pairs of dimension n, read off one reduction of the (n+1)-boundary.
 
-    pairs come in owner order (cycle owners by increasing weight). Each
-    pair carries its image's boundary column at pivot time, expressed over
-    cycle owners; those drive the torsion generators. unpaired owners
-    correspond to free summands. up is the split of the (n+1)-simplices
-    made by the same reduction.
+    pairs come in owner order (cycle owners by increasing weight). unpaired
+    owners correspond to free summands. up is the split of the
+    (n+1)-simplices made by the same reduction. _columns is (owners,
+    columns): the cycle owners by increasing weight, and for each pair its
+    image's boundary column at pivot time, as the reduction stored it, the
+    pivot entry c and the rest as {owner position: scalar}, in whatever
+    key order the reduction left; a torsion generator reads its pair's.
     """
 
     n: int
     pairs: list
     unpaired: list
-    row_coefficients: list
     up: CycleBasis
+    _columns: tuple = dataclass_field(repr=False, compare=False)
 
 
 @dataclass
@@ -430,9 +434,9 @@ def _lift(chain, weight_of):
 
     chain must be nonzero, hold no zero coefficient and simplices of one
     dimension only, and weight_of must take each of its keys. The chains
-    the generators lift always do: row coefficients come from columns that
-    drop cancelled entries, the push writes a tree edge only for a nonzero
-    demand, and higher cycles are summed by _add_multiple, which deletes
+    the generators lift always do: the stored pivot columns drop cancelled
+    entries, the push writes a tree edge only for a nonzero demand, and
+    higher cycles are summed by _add_multiple, which deletes
     cancelled keys. The terms come sorted by simplex.
     """
     support = sorted(chain)
@@ -493,7 +497,7 @@ def simplex_pairing(
         up, taken = _edge_forest(X, owners, field, with_cycles)
     else:
         up, taken = _reduce(X, n + 1, owners, field, with_cycles)
-    pairs, unpaired, row_coeffs = [], [], []
+    pairs, unpaired, columns = [], [], []
     for k, kappa in enumerate(owners):
         if k not in taken:
             unpaired.append(kappa)
@@ -506,12 +510,8 @@ def simplex_pairing(
                 "weights must not increase from a face to its coface"
             )
         pairs.append(PairedSimplices._make((kappa, mu, m)))
-        # the column at pivot time: kappa, then the rest by position
-        row = {kappa: c}
-        for i in sorted(rest):
-            row[owners[i]] = rest[i]
-        row_coeffs.append(row)
-    return SimplexPairing(n, pairs, unpaired, row_coeffs, up)
+        columns.append((c, rest))
+    return SimplexPairing(n, pairs, unpaired, up, (owners, columns))
 
 
 def _module_from_pairing(X, n, basis_n, pairing, field, with_generators):
@@ -537,11 +537,14 @@ def _module_from_pairing(X, n, basis_n, pairing, field, with_generators):
                 return chain
         one, weight_of = field.one(), X._weights.__getitem__
         generators = [_lift(chain_of({kappa: one}), weight_of) for kappa in pairing.unpaired]
+        owners, columns = pairing._columns
         for i in torsion_pairs:
-            lifted = _lift(chain_of(pairing.row_coefficients[i]), weight_of)
+            kappa = pairing.pairs[i].kappa
+            c, rest = columns[i]
+            part = {kappa: c, **{owners[k]: v for k, v in rest.items()}}
+            lifted = _lift(chain_of(part), weight_of)
             # the paired owner, in its own cycle alone at the nonzero pivot
             # entry, keeps the minimal weight: its lifted exponent is zero
-            kappa = pairing.pairs[i].kappa
             if lifted.terms[kappa][0][0] != 0:
                 raise ComplexError(
                     f"torsion generator of {{{' '.join(kappa)}}} is lighter than its owner: "

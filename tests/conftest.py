@@ -7,12 +7,12 @@ from wsh.complexes import build_complex, from_maximal
 from wsh.fields import FieldSpec
 
 RATIONALS = FieldSpec.rationals()
-GF2 = FieldSpec.prime_field(2)
+GF2 = FieldSpec(2)
 CORPUS_FIELDS = (
     FieldSpec.rationals(),
-    FieldSpec.prime_field(2),
-    FieldSpec.prime_field(3),
-    FieldSpec.prime_field(5),
+    FieldSpec(2),
+    FieldSpec(3),
+    FieldSpec(5),
 )
 # str.splitlines breaks lines at these too; editors and `wc -l` do not
 NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -185,6 +185,21 @@ def torus_grid_complex(k, rng):
         for face in sorted(floor):
             weights[face] = floor[face] + rng.randint(0, 2)
     return build_complex(weights.items())
+
+
+def row_coefficients(pairing):
+    """Each pair's column at pivot time over the cycle owners, as a dict per pair.
+
+    The library keeps each pivot entry and the rest of its column keyed by
+    owner position (SimplexPairing._columns). This rebuilds the form that
+    tests/reference_homology.py lists as row_coefficients: kappa with the
+    pivot entry first, then the owners of the rest by position.
+    """
+    owners, columns = pairing._columns
+    return [
+        {p.kappa: c, **{owners[k]: rest[k] for k in sorted(rest)}}
+        for p, (c, rest) in zip(pairing.pairs, columns, strict=True)
+    ]
 
 
 @pytest.fixture

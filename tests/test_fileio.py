@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from wsh.errors import (
 )
 from wsh.fields import FieldSpec
 from wsh.fileio import (
+    MAX_WEIGHT_DIGITS,
     parse_complex_file,
     render_json_report,
     render_text_report,
@@ -101,7 +103,7 @@ _TOO_BIG_REASON = (
     "simplex with 21 vertices would have 2097151 faces; "
     "filling in faces takes at most 20 vertices (1048575 faces)"
 )
-# past the 4,300 digits that int() converts from a string by default
+# past the reader's cap, the 4,300 digits that int() converts from a string by default
 _HUGE_WEIGHT = "1" * 5000
 # (text, complete, exception type, .line, str(exception)), every reader error
 # under the weighted header first, then under '!maximal W'
@@ -164,6 +166,34 @@ def test_reader_errors_pin_type_message_and_line(text, complete, exc, line, mess
     assert type(ei.value) is exc
     assert str(ei.value) == message
     assert getattr(ei.value, "line", None) == line
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int-string limit"
+)
+def test_weight_digit_cap_does_not_depend_on_the_int_string_limit():
+    # with no limit int() converts any length; the reader still caps weights
+    # at MAX_WEIGHT_DIGITS. With a lower limit, int() refuses first
+    longest = "1" * MAX_WEIGHT_DIGITS
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        for text, what in [
+            (f"a ; {_HUGE_WEIGHT}\n", "weight"),
+            (f"!maximal {_HUGE_WEIGHT}\na\n", "default weight"),
+        ]:
+            with pytest.raises(ParseError) as ei:
+                parse_complex_file(text)
+            message = f"line 1: bad {what} '{_HUGE_WEIGHT}': expected ASCII digits 0-9"
+            assert str(ei.value) == message
+            assert ei.value.line == 1
+        for text in (f"a ; {longest}\n", f"!maximal {longest}\na\n"):
+            assert parse_complex_file(text).weight(("a",)) == int(longest)
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(ParseError, match="^line 1: bad weight '1{1000}': expected"):
+            parse_complex_file("a ; " + "1" * 1000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # (text, complete): files that a leading byte order mark must not change

@@ -19,7 +19,7 @@ from wsh.homology import cycle_basis, homology, homology_all, lift_cycle
 from .conftest import RATIONALS as Q
 from .conftest import GF2, random_weighted_complex, torus_grid_complex
 
-GF5 = FieldSpec.prime_field(5)
+GF5 = FieldSpec(5)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -328,8 +328,9 @@ def _tied_complexes():
 
 def test_processing_and_owner_orders_break_ties_lexicographically():
     # columns come by decreasing weight and cycle owners by increasing
-    # weight, ties ascending lexicographic in both; pairs, unpaired owners
-    # and each pair's column at pivot time follow the owner order
+    # weight, ties ascending lexicographic in both; pairs and unpaired
+    # owners follow the owner order, and each pair's stored column holds,
+    # past its pivot, only owners after its own
     for X in _tied_complexes():
         w = X._weights
         modules = homology_all(X, Q)
@@ -342,8 +343,11 @@ def test_processing_and_owner_orders_break_ties_lexicographically():
                 paired = {p.kappa for p in pairing.pairs}
                 assert [p.kappa for p in pairing.pairs] == [s for s in owners if s in paired]
                 assert pairing.unpaired == [s for s in owners if s not in paired]
-                for coeffs in pairing.row_coefficients:
-                    assert list(coeffs) == [s for s in owners if s in coeffs]
+                stored_owners, columns = pairing._columns
+                assert stored_owners == owners
+                for p, (_c, rest) in zip(pairing.pairs, columns, strict=True):
+                    k = owners.index(p.kappa)
+                    assert all(i > k for i in rest), (p, rest)
             basis = modules[n].pairing.up
 
 

@@ -41,7 +41,7 @@ def mono(exp, coeff=1):
     return (exp, Q.from_int(coeff))
 
 
-_FIELDS = (Q, GF2, FieldSpec.prime_field(5))
+_FIELDS = (Q, GF2, FieldSpec(5))
 
 
 def _units(field):
@@ -362,7 +362,7 @@ def test_eliminate_swaps_rows_past_pivot_rows():
         {1: mono(1, 2), 2: mono(1)},
     ]
     _assert_reference_pivots(Q, rows, 3)
-    for field in (GF2, FieldSpec.prime_field(5)):
+    for field in (GF2, FieldSpec(5)):
         # the same exponents with the scalars read in the field, zeros dropped
         mapped = [{j: (e, field.from_int(c)) for j, (e, c) in row.items()} for row in rows]
         _assert_reference_pivots(field, SeriesMatrix(field, mapped, 3).rows, 3)
