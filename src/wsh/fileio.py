@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
-from .complexes import WeightedComplex, _closed, _completed
+from .complexes import MAX_WEIGHT_DIGITS, WeightedComplex, _closed, _completed
 
 # the library builders are not called here; they stay bound for
 # perfbench/tracing.py, which looks them up through this module
@@ -41,10 +41,6 @@ __all__ = [
     "render_json_report",
     "split_lines",
 ]
-
-# the digits int() converts from a string under CPython's default limit; a
-# fixed cap makes whether a file reads independent of the interpreter's setting
-MAX_WEIGHT_DIGITS = 4300
 
 
 def split_lines(text: str) -> list:

@@ -69,12 +69,10 @@ the row is exactly the column this reduction has at pivot time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from dataclasses import field as dataclass_field
+from collections import namedtuple
 from itertools import combinations
-from typing import NamedTuple
 
-from .complexes import WeightedComplex, _canonical_labels
+from .complexes import WeightedComplex, _canonical_labels, _Record
 
 # boundary_exponent_matrix is not called here; it stays bound for
 # perfbench/tracing.py, which looks it up through this module
@@ -101,8 +99,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class CycleBasis:
+class CycleBasis(_Record):
     """Split of the n-simplices produced by the boundary column reduction.
 
     dependent: simplices owning a cycle, in processing order.
@@ -111,58 +108,65 @@ class CycleBasis:
     owner has coefficient one and minimal weight within the support. Left
     empty by a reduction that carries no chains, and by the edge pass
     (_edge_forest), which roots the forest of independent edges instead
-    (_forest, None unless asked for): each edge cycle is pushed out of it
-    from its owner coordinates when it is needed (_pusher), as
-    cycle_basis(X, 1) does for every dependent edge.
+    (_forest, None unless asked for, and left out of == and repr): each
+    edge cycle is pushed out of it from its owner coordinates when it is
+    needed (_pusher), as cycle_basis(X, 1) does for every dependent edge.
     """
 
-    n: int
-    dependent: list
-    independent: list
-    cycles: dict
-    _forest: tuple | None = dataclass_field(default=None, repr=False, compare=False)
+    __slots__ = ("n", "dependent", "independent", "cycles", "_forest")
+
+    def __init__(self, n: int, dependent: list, independent: list, cycles: dict,
+                 _forest: tuple | None = None):
+        self.n = n
+        self.dependent = dependent
+        self.independent = independent
+        self.cycles = cycles
+        self._forest = _forest
 
 
-@dataclass
-class WeightedChain:
+class WeightedChain(_Record):
     """Chain with pi-polynomial coefficients, one term list per simplex.
 
     terms maps a simplex to a tuple of (exponent, field scalar) pairs with
     strictly increasing exponents.
     """
 
-    n: int
-    terms: dict
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: dict):
+        self.n = n
+        self.terms = terms
 
 
-class PairedSimplices(NamedTuple):
-    kappa: tuple  # dependent n-simplex owning the cycle
-    mu: tuple  # independent (n+1)-simplex
-    m: int  # weight(kappa) - weight(mu), never negative
+# kappa: the dependent n-simplex owning the cycle; mu: the independent
+# (n+1)-simplex; m: weight(kappa) - weight(mu), never negative
+PairedSimplices = namedtuple("PairedSimplices", ["kappa", "mu", "m"])
 
 
-@dataclass
-class SimplexPairing:
+class SimplexPairing(_Record):
     """Pairs of dimension n, read off one reduction of the (n+1)-boundary.
 
     pairs come in owner order (cycle owners by increasing weight). unpaired
     owners correspond to free summands. up is the split of the
-    (n+1)-simplices made by the same reduction. _columns is (owners,
-    columns): the cycle owners by increasing weight, and for each pair its
-    image's boundary column at pivot time, as the reduction stored it, the
-    pivot entry c and the rest as {owner position: scalar}, in whatever
-    key order the reduction left; a torsion generator reads its pair's.
+    (n+1)-simplices made by the same reduction. _columns, left out of ==
+    and repr, is (owners, columns): the cycle owners by increasing weight,
+    and for each pair its image's boundary column at pivot time, as the
+    reduction stored it, the pivot entry c and the rest as {owner position:
+    scalar}, in whatever key order the reduction left; a torsion generator
+    reads its pair's.
     """
 
-    n: int
-    pairs: list
-    unpaired: list
-    up: CycleBasis
-    _columns: tuple = dataclass_field(repr=False, compare=False)
+    __slots__ = ("n", "pairs", "unpaired", "up", "_columns")
+
+    def __init__(self, n: int, pairs: list, unpaired: list, up: CycleBasis, _columns: tuple):
+        self.n = n
+        self.pairs = pairs
+        self.unpaired = unpaired
+        self.up = up
+        self._columns = _columns
 
 
-@dataclass
-class HomologyModule:
+class HomologyModule(_Record):
     """H_n as R^free_rank plus one R/(pi^m) summand per torsion entry.
 
     torsion is sorted ascending. generators, when requested, line up with
@@ -170,11 +174,15 @@ class HomologyModule:
     torsion order. All generators are cycles of the weighted boundary map.
     """
 
-    n: int
-    free_rank: int
-    torsion: list
-    pairing: SimplexPairing
-    generators: list | None = None
+    __slots__ = ("n", "free_rank", "torsion", "pairing", "generators")
+
+    def __init__(self, n: int, free_rank: int, torsion: list, pairing: SimplexPairing,
+                 generators: list | None = None):
+        self.n = n
+        self.free_rank = free_rank
+        self.torsion = torsion
+        self.pairing = pairing
+        self.generators = generators
 
 
 def _add_multiple(target, factor, source, field):

@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -442,3 +445,17 @@ def test_cli_exits_cleanly_on_spliced_files(base, edits, tmp_path_factory):
                 if line.startswith(("wsh: error: ", "wsh: check "))
             ]
             assert len(said) == 1, (flags, err.getvalue())
+
+
+def test_cli_imports_without_dataclasses_inspect_or_typing():
+    # every run pays for what `import wsh.cli` loads; -S keeps the site
+    # module, which may load typing itself, out of the child
+    code = (
+        "import sys, wsh.cli; "
+        "print(*[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wsh.cli.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []

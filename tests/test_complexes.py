@@ -1,9 +1,13 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 
 from wsh.complexes import (
+    MAX_WEIGHT_DIGITS,
+    BoundaryMatrix,
     WeightedComplex,
     _canonical_labels,
     boundary_exponent_matrix,
@@ -22,6 +26,7 @@ from wsh.errors import (
     SimplexTooLarge,
 )
 from wsh.fields import FieldSpec
+from wsh.fileio import parse_complex_file, serialize_complex
 from .conftest import random_weighted_complex, tetra_boundary_complex, torus_grid_complex
 from .dense import Matrix
 from .invariants import signed_faces
@@ -341,3 +346,53 @@ def test_listing_order_does_not_change_the_dimensions():
         assert Y.dim == bottom_up.dim
         for n in range(-1, Y.dim + 2):
             assert Y.n_simplices(n) == bottom_up.n_simplices(n)
+
+
+def test_boundary_matrix_is_an_immutable_value():
+    X = build_complex([(("a",), 3), (("b",), 2), (("a", "b"), 1)])
+    bm = boundary_exponent_matrix(X, 1)
+    assert repr(bm) == (
+        "BoundaryMatrix(n=1, row_simplices=(('a',), ('b',)), col_simplices=(('a', 'b'),),"
+        " columns=(((1, 1, 1), (0, -1, 2)),))"
+    )
+    same = BoundaryMatrix(n=1, row_simplices=(("a",), ("b",)), col_simplices=(("a", "b"),),
+                          columns=(((1, 1, 1), (0, -1, 2)),))
+    assert same == bm and hash(same) == hash(bm)
+    assert BoundaryMatrix(1, bm.row_simplices, bm.col_simplices, ()) != bm
+    assert bm != (1, bm.row_simplices, bm.col_simplices, bm.columns)
+    for name in ("n", "columns", "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(bm, name, 2)
+    with pytest.raises(AttributeError, match="cannot delete field 'n'"):
+        del bm.n
+    assert bm.n == 1
+    assert copy.copy(bm) == bm and copy.deepcopy(bm) == bm
+    assert pickle.loads(pickle.dumps(bm)) == bm
+
+
+_TOO_HEAVY = 10**MAX_WEIGHT_DIGITS  # 4,301 digits, one more than the reader takes
+
+
+@pytest.mark.parametrize(
+    "build, simplex",
+    [
+        (lambda w: build_complex([(("b",), w), (("a",), w), (("a", "b"), 0)]), "b"),
+        (lambda w: complete_faces([(("b", "a"), w)]), "a b"),
+        (lambda w: from_maximal([("b", "a")], w), "a b"),
+    ],
+    ids=["build_complex", "complete_faces", "from_maximal"],
+)
+def test_builders_refuse_a_weight_the_reader_would_refuse(build, simplex):
+    # the bound is compared as an int: no weight is converted to a string
+    with pytest.raises(ValueError) as ei:
+        build(_TOO_HEAVY)
+    assert str(ei.value) == f"weight of {{{simplex}}} has more than 4300 digits"
+    X = build(_TOO_HEAVY - 1)
+    assert max(map(X.weight, X.simplices())) == _TOO_HEAVY - 1
+
+
+def test_heaviest_weight_round_trips_through_the_file_format():
+    X = build_complex([(("a",), _TOO_HEAVY - 1), (("b",), 7), (("a", "b"), 3)])
+    text = serialize_complex(X)
+    assert text.splitlines()[0] == "a ; " + "9" * MAX_WEIGHT_DIGITS
+    assert parse_complex_file(text) == X

@@ -1,8 +1,10 @@
+import copy
 import inspect
 import itertools
 import json
 import os
 import pathlib
+import pickle
 import random
 import re
 import subprocess
@@ -15,7 +17,17 @@ from wsh.complexes import build_complex, from_maximal
 from wsh.errors import DimensionOutOfRange, DuplicateSimplex, MismatchedDimensions, ZeroChain
 from wsh.fields import FieldSpec
 from wsh.fileio import render_json_report
-from wsh.homology import cycle_basis, homology, homology_all, lift_cycle
+from wsh.homology import (
+    CycleBasis,
+    HomologyModule,
+    PairedSimplices,
+    SimplexPairing,
+    WeightedChain,
+    cycle_basis,
+    homology,
+    homology_all,
+    lift_cycle,
+)
 from .conftest import RATIONALS as Q
 from .conftest import GF2, random_weighted_complex, torus_grid_complex
 
@@ -416,3 +428,86 @@ def test_homology_all_stops_each_chain_free_reduction_at_the_rank_bound():
     assert [(m.free_rank, m.torsion) for m in modules] == [(1, [])] + [(0, [])] * 6 + [(1, [])]
     assert [len(m.pairing.pairs) for m in modules] == [8, 28, 56, 70, 56, 28, 8, 0]
     assert field.muls == 0
+
+
+def _edge_module():
+    # H_0 of a ; 3, b ; 2, a b ; 1: one free vertex and one R/(pi^1)
+    X = build_complex([(("a",), 3), (("b",), 2), (("a", "b"), 1)])
+    return homology(X, 0, Q, with_generators=True)
+
+
+def test_result_types_repr_their_public_fields_in_order():
+    mod = _edge_module()
+    up = "CycleBasis(n=1, dependent=[], independent=[('a', 'b')], cycles={})"
+    pair = "PairedSimplices(kappa=('b',), mu=('a', 'b'), m=1)"
+    pairing = f"SimplexPairing(n=0, pairs=[{pair}], unpaired=[('a',)], up={up})"
+    chains = (
+        "[WeightedChain(n=0, terms={('a',): ((0, 1),)}), "
+        "WeightedChain(n=0, terms={('a',): ((1, -1),), ('b',): ((0, 1),)})]"
+    )
+    assert repr(mod.pairing.up) == up
+    assert repr(mod.pairing.pairs[0]) == pair
+    assert repr(mod.pairing) == pairing
+    assert repr(mod.generators) == chains
+    assert repr(mod) == (
+        f"HomologyModule(n=0, free_rank=1, torsion=[1], pairing={pairing}, generators={chains})"
+    )
+    assert repr(HomologyModule(0, 0, [], mod.pairing)).endswith(", generators=None)")
+
+
+def test_cycle_basis_equality_leaves_out_the_forest():
+    X = build_complex([(("a",), 1), (("b",), 1), (("c",), 1),
+                       (("a", "b"), 1), (("a", "c"), 1), (("b", "c"), 1)])
+    basis = cycle_basis(X, 1, Q)
+    assert basis._forest is not None
+    bare = CycleBasis(1, basis.dependent, basis.independent, basis.cycles)
+    assert bare._forest is None
+    assert bare == basis and basis == bare
+    assert bare == CycleBasis(n=1, dependent=list(basis.dependent),
+                              independent=list(basis.independent),
+                              cycles=dict(basis.cycles), _forest=("another", "forest"))
+    assert bare != CycleBasis(1, basis.dependent, basis.independent, {})
+    assert bare != CycleBasis(2, basis.dependent, basis.independent, basis.cycles)
+    assert "_forest" not in repr(basis)
+    assert bare.__eq__((1, basis.dependent, basis.independent, basis.cycles)) is NotImplemented
+
+
+def test_simplex_pairing_equality_leaves_out_the_columns():
+    pairing = _edge_module().pairing
+    other = SimplexPairing(pairing.n, list(pairing.pairs), list(pairing.unpaired), pairing.up,
+                           _columns=((), ()))
+    assert other == pairing and other._columns == ((), ())
+    assert SimplexPairing(0, [], pairing.unpaired, pairing.up, pairing._columns) != pairing
+    assert "_columns" not in repr(pairing)
+    with pytest.raises(TypeError):
+        SimplexPairing(pairing.n, pairing.pairs, pairing.unpaired, pairing.up)
+
+
+def test_homology_module_and_weighted_chain_compare_field_by_field():
+    mod = _edge_module()
+    same = HomologyModule(n=0, free_rank=1, torsion=[1], pairing=mod.pairing,
+                          generators=list(mod.generators))
+    assert same == mod
+    assert HomologyModule(0, 1, [1], mod.pairing) != mod
+    assert HomologyModule(0, 1, [1], mod.pairing).generators is None
+    assert HomologyModule(0, 2, [1], mod.pairing, mod.generators) != mod
+    chain = mod.generators[1]
+    assert chain == WeightedChain(n=0, terms={("a",): ((1, -1),), ("b",): ((0, 1),)})
+    assert chain != WeightedChain(1, chain.terms)
+    assert chain != WeightedChain(0, {("b",): ((0, 1),)})
+    assert chain != (0, chain.terms)
+    for copied in (copy.deepcopy(mod), pickle.loads(pickle.dumps(mod))):
+        assert copied == mod and copied.pairing._columns == mod.pairing._columns
+    # mutable records, so unhashable, as dataclasses with eq make them
+    for value in (mod, mod.pairing, mod.pairing.up, chain):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_paired_simplices_is_a_named_tuple():
+    assert PairedSimplices._fields == ("kappa", "mu", "m")
+    pair = PairedSimplices._make((("b",), ("a", "b"), 1))
+    assert pair == (("b",), ("a", "b"), 1) == PairedSimplices(kappa=("b",), mu=("a", "b"), m=1)
+    assert (pair.kappa, pair.mu, pair.m) == pair
+    assert pair._asdict() == {"kappa": ("b",), "mu": ("a", "b"), "m": 1}
+    assert _edge_module().pairing.pairs == [pair]
