@@ -63,12 +63,22 @@ def _check_weight(labels, w):
         )
 
 
+def _check_labels(vertices):
+    """Refuse a vertex label that the record format would not read back as
+    that one vertex: it must be one whitespace-free str.split token, hold
+    no ';', and not start with '#', '!' or a byte order mark (U+FEFF)."""
+    for [label] in vertices:
+        if label.split() != [label] or ";" in label or label[0] in "#!\ufeff":
+            raise InvalidSimplex(f"label {label!r} would not read back as one vertex", label)
+
+
 class WeightedComplex:
     """Immutable weighted complex. Construct via build_complex and friends.
 
     It keeps the validated {sorted label tuple: weight} dict it is given,
     without a copy: every builder passes a fresh one and keeps no other
-    reference to it.
+    reference to it. Every builder and the reader end here, so this is
+    where a vertex label the record format cannot hold is refused.
     """
 
     __slots__ = ("_weights", "_per_dim", "dim")
@@ -86,6 +96,7 @@ class WeightedComplex:
                 per_dim[-1].append(s)
         self.dim = len(per_dim) - 1
         self._per_dim = tuple(tuple(sorted(d)) for d in per_dim)
+        _check_labels(self.n_simplices(0))
 
     def __contains__(self, simplex):
         try:
@@ -126,12 +137,12 @@ class WeightedComplex:
             yield from d
 
 
-def _listing(pairs, canonical):
-    """{labels: weight} of (vertices, weight) pairs, labelled by canonical,
-    refusing a bad weight, a simplex listed twice and an empty listing."""
+def _listing(pairs):
+    """{canonical labels: weight} of (vertices, weight) pairs, refusing a
+    bad weight, a simplex listed twice and an empty listing."""
     weights = {}
     for vertices, w in pairs:
-        labels = canonical(vertices)
+        labels = _canonical_labels(vertices)
         _check_weight(labels, w)
         if labels in weights:
             raise DuplicateSimplex(labels)
@@ -147,7 +158,7 @@ def build_complex(pairs) -> WeightedComplex:
     Validates distinct records, face closure, and weight monotonicity
     (a face never weighs less than its cofaces).
     """
-    return _closed(_listing(pairs, _canonical_labels))
+    return _closed(_listing(pairs))
 
 
 def _closed(weights):
@@ -169,15 +180,6 @@ def _closed(weights):
 
 # 2**20 - 1 = 1,048,575 faces: the most one record may make the closure list
 MAX_CLOSURE_VERTICES = 20
-
-
-def _closable_labels(vertices):
-    """Canonical labels of a record whose faces will be filled in, refused
-    before any enumeration when it has more than MAX_CLOSURE_VERTICES vertices."""
-    labels = _canonical_labels(vertices)
-    if len(labels) > MAX_CLOSURE_VERTICES:
-        raise SimplexTooLarge(labels, MAX_CLOSURE_VERTICES)
-    return labels
 
 
 def _heaviest_cofaces(listed):
@@ -216,7 +218,7 @@ def _heaviest_cofaces(listed):
 def from_maximal(simplices, weight: int) -> WeightedComplex:
     """Closure of the given simplices with one uniform weight: complete_faces
     over the distinct ones, so a simplex repeated in any vertex order merges."""
-    listed = dict.fromkeys(map(_closable_labels, simplices), weight)
+    listed = dict.fromkeys(map(_canonical_labels, simplices), weight)
     if not listed:
         raise EmptyInput("no simplices given")
     _check_weight(next(iter(listed)), weight)
@@ -235,15 +237,16 @@ def complete_faces(pairs) -> WeightedComplex:
     MAX_CLOSURE_VERTICES vertices raises SimplexTooLarge before any face is
     generated. The work is linear in the number of faces of the closure.
     """
-    return _completed(_listing(pairs, _closable_labels))
+    return _completed(_listing(pairs))
 
 
 def _completed(listed):
     """The closure of a canonical listing {labels: weight}, each face at the
     weight of its heaviest listed coface: complete_faces after the listing.
 
-    The size cap is checked here as well, in listing order, for callers
-    that canonicalise their records themselves.
+    The size cap is checked here, in listing order, before any face is
+    generated; every caller has canonicalised its records and checked their
+    weights, so those errors come first.
     """
     for s in listed:
         if len(s) > MAX_CLOSURE_VERTICES:

@@ -10,7 +10,12 @@ class ComplexError(ValueError):
 
 
 class InvalidSimplex(ComplexError):
-    """A simplex record has repeated vertices or is empty."""
+    """A simplex is empty or repeats a vertex, or a vertex label would not
+    read back from the record format as that one vertex; label is then set."""
+
+    def __init__(self, message, label=None):
+        self.label = label
+        super().__init__(message)
 
 
 class DuplicateSimplex(ComplexError):

@@ -13,7 +13,11 @@ simplex and missing face gets the weight W, whether or not complete=True.
 One loop reads both kinds of file; only the record syntax and where the
 weight comes from depend on the header. Wherever faces are filled in, a
 record may have at most complexes.MAX_CLOSURE_VERTICES vertices. One
-leading byte order mark (U+FEFF) is dropped; anywhere else it is text.
+leading byte order mark (U+FEFF) is dropped. A vertex label must read back
+as itself: one whitespace-free token, without ';', not starting with '#',
+'!' or U+FEFF (a U+FEFF may sit inside a label but not lead one);
+WeightedComplex refuses any other with InvalidSimplex, which the reader
+reports on the first record holding the label.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from .complexes import MAX_WEIGHT_DIGITS, WeightedComplex, _closed, _completed
 # perfbench/tracing.py, which looks them up through this module
 from .complexes import build_complex, complete_faces, from_maximal  # noqa: F401
 from .errors import (
-    ComplexError,
     EmptyInput,
+    InvalidSimplex,
     MissingFace,
     MonotonicityViolation,
     ParseError,
@@ -50,15 +54,17 @@ def split_lines(text: str) -> list:
 
 
 def _decorate(err, line_of):
-    """Re-raise a construction error with the line of the offending record."""
-    key = None
+    """Re-raise a construction error with the line of the offending record:
+    the listed face of a MonotonicityViolation, the simplex of a MissingFace
+    or SimplexTooLarge, and the first record holding an InvalidSimplex's label."""
     if isinstance(err, MonotonicityViolation):
-        key = err.face if err.face in line_of else err.coface
-    elif isinstance(err, (MissingFace, SimplexTooLarge)):
+        key = err.face
+    elif isinstance(err, InvalidSimplex):
+        key = next(s for s in line_of if err.label in s)
+    else:
         key = err.simplex
-    if key is not None and key in line_of:
-        err.line = line_of[key]
-        err.args = (f"line {err.line}: {err.args[0]}",)
+    err.line = line_of[key]
+    err.args = (f"line {err.line}: {err.args[0]}",)
     raise err
 
 
@@ -123,16 +129,12 @@ def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:
     try:
         # the records are canonical already: sorted, distinct, with valid weights
         return _completed(weights) if complete or default is not None else _closed(weights)
-    except ComplexError as err:
+    except (InvalidSimplex, MissingFace, MonotonicityViolation, SimplexTooLarge) as err:
         _decorate(err, dict(zip(weights, lines)))
 
 
 def serialize_complex(X: WeightedComplex) -> str:
-    """Inverse of parse_complex_file up to ordering and formatting; raises
-    ValueError for a vertex label the reader would not read back as itself."""
-    for [label] in X.n_simplices(0):
-        if label.split() != [label] or ";" in label or label[0] in "#!\ufeff":
-            raise ValueError(f"label {label!r} would not read back as one vertex")
+    """Inverse of parse_complex_file up to ordering and formatting."""
     lines = []
     for n in range(X.dim + 1):
         for s in X.n_simplices(n):

@@ -232,6 +232,17 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_label_that_would_not_read_back_exits_2(tmp_path, capsys):
+    p = tmp_path / "hash.cplx"
+    p.write_text("a #b ; 1\n")
+    assert main(["--complete-faces", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"wsh: error: {p}: line 1: label '#b' would not read back as one vertex\n"
+    )
+
+
 def test_non_utf8_input_exits_2(tmp_path, capsys):
     p = tmp_path / "latin1.cplx"
     p.write_bytes(b"a ; 1\r\nb ; 1\n# caf\xe9\na b ; 0\n")

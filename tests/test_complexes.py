@@ -23,7 +23,6 @@ from wsh.errors import (
     InvalidSimplex,
     MissingFace,
     MonotonicityViolation,
-    SimplexTooLarge,
 )
 from wsh.fields import FieldSpec
 from wsh.fileio import parse_complex_file, serialize_complex
@@ -145,12 +144,12 @@ _TOO_LARGE = tuple(f"x{i:02d}" for i in range(21))
         ([("a", "a", "b")], 0, InvalidSimplex, "repeated vertex in simplex {a a b}"),
         # every record is read before the weight is checked
         ([("a", "b"), ("c", "c")], -1, InvalidSimplex, "repeated vertex in simplex {c c}"),
+        # a bad weight beats the size cap, as '!maximal' with a bad weight fails on line 1
         (
             [("a", "b"), _TOO_LARGE],
             True,
-            SimplexTooLarge,
-            "simplex with 21 vertices would have 2097151 faces; "
-            "filling in faces takes at most 20 vertices (1048575 faces)",
+            ValueError,
+            "weight of {a b} must be a non-negative integer, got True",
         ),
     ],
 )
