@@ -8,6 +8,8 @@ the verification path, or when the fast path's own consistency checks fail.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 
 from .errors import ComplexError, ParseError, PrecisionExhausted
@@ -71,6 +73,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="add faces missing from the input instead of rejecting it",
     )
     return p
+
+
+def _open_in_place(path, flags):
+    # open(path, "w") without O_TRUNC. On ext4 (auto_da_alloc, its default),
+    # truncating a file to zero and writing it again frees its blocks,
+    # allocates them anew and starts writeback at close, which took longer
+    # than rendering the report; main() cuts the old tail after writing
+    # instead. Only an existing regular file gains; a new path costs the
+    # same either way. The price: a crash mid-write can leave old and new
+    # bytes mixed, where the truncating write left the file empty or whole
+    # (README, Design notes). 0o666 is the mode open() creates a file with.
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 # built by the first main() call and reused: parsing leaves a parser unchanged
@@ -151,10 +165,22 @@ def main(argv=None) -> int:
         if args.json == "-":
             sys.stdout.write(payload)
         else:
+            regular = False
             try:
-                with open(args.json, "w", encoding="utf-8") as fh:
+                with open(args.json, "w", encoding="utf-8", opener=_open_in_place) as fh:
+                    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
                     fh.write(payload)
+                    if regular:
+                        fh.truncate()  # cut what is left of a longer old report
             except OSError as e:
+                if regular:
+                    # leave no byte of the old report behind a failed write; cut
+                    # by path once closed, as the close may still have flushed
+                    # part of the new one
+                    try:
+                        os.truncate(args.json, 0)
+                    except OSError:
+                        pass  # best effort: the message below is what counts
                 print(f"wsh: error: cannot write {args.json}: {e.strerror}", file=sys.stderr)
                 return INPUT_ERROR
     else:

@@ -17,14 +17,14 @@ leading byte order mark (U+FEFF) is dropped. A vertex label must read back
 as itself: one whitespace-free token, without ';', not starting with '#',
 '!' or U+FEFF (a U+FEFF may sit inside a label but not lead one);
 WeightedComplex refuses any other with InvalidSimplex, which the reader
-reports on the first record holding the label.
+reports on the first record in the file that holds such a label.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
-from .complexes import MAX_WEIGHT_DIGITS, WeightedComplex, _closed, _completed
+from .complexes import MAX_WEIGHT_DIGITS, WeightedComplex, _check_labels, _closed, _completed
 
 # the library builders are not called here; they stay bound for
 # perfbench/tracing.py, which looks them up through this module
@@ -56,11 +56,19 @@ def split_lines(text: str) -> list:
 def _decorate(err, line_of):
     """Re-raise a construction error with the line of the offending record:
     the listed face of a MonotonicityViolation, the simplex of a MissingFace
-    or SimplexTooLarge, and the first record holding an InvalidSimplex's label."""
+    or SimplexTooLarge, and for an InvalidSimplex the first record, in file
+    order, holding a label the format cannot read back, named in the message."""
     if isinstance(err, MonotonicityViolation):
         key = err.face
     elif isinstance(err, InvalidSimplex):
-        key = next(s for s in line_of if err.label in s)
+        # WeightedComplex refused the first bad label in sorted order; ask
+        # the same check of each record in turn
+        for key in line_of:
+            try:
+                _check_labels(zip(key))
+            except InvalidSimplex as first:
+                err.label, err.args = first.label, first.args
+                break
     else:
         key = err.simplex
     err.line = line_of[key]

@@ -1,10 +1,12 @@
 import contextlib
+import errno
 import io
 import json
 import os
 import random
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import time
@@ -304,6 +306,108 @@ def test_unwritable_json_path_exits_2(glued_file, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"wsh: error: cannot write {tmp_path}: ")
+
+
+def _fresh_report(argv, path):
+    assert main(["--json", str(path), *argv]) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("extra", [300, -300, 0], ids=["longer", "shorter", "same-length"])
+def test_json_overwrites_an_existing_report_in_place(extra, glued_file, tmp_path, capsys):
+    # an old file longer, shorter or as long as the report ends up holding the
+    # bytes of a fresh write, in the same inode with the same permissions
+    argv = ["--generators", glued_file]
+    new = _fresh_report(argv, tmp_path / "fresh.json")
+    out = tmp_path / "report.json"
+    out.write_bytes(b"x" * (len(new) + extra))
+    out.chmod(0o600)
+    before = out.stat()
+    assert main(["--json", str(out), *argv]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == new
+    after = out.stat()
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o600
+
+
+def test_json_writes_through_a_symlink(glued_file, tmp_path):
+    new = _fresh_report([glued_file], tmp_path / "fresh.json")
+    target = tmp_path / "target.json"
+    target.write_bytes(b"x" * (2 * len(new)))
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["--json", str(link), glued_file]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == new
+
+
+def test_json_to_devnull(glued_file, capsys):
+    # /dev/null is not a regular file: written, never cut
+    assert main(["--json", os.devnull, glued_file]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_json_report_is_never_opened_with_o_trunc(glued_file, tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"x" * 100_000)
+    flags_of = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        if os.fspath(path) == str(out):
+            flags_of.append(flags)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(wsh.cli.os, "open", spy)
+    assert main(["--json", str(out), glued_file]) == 0
+    # one open, for writing, created if missing, and not truncated to zero
+    assert len(flags_of) == 1
+    assert flags_of[0] & os.O_WRONLY and flags_of[0] & os.O_CREAT
+    assert not flags_of[0] & os.O_TRUNC
+    fresh = tmp_path / "fresh.json"
+    assert out.read_bytes() == _fresh_report([glued_file], fresh)
+    # a new report gets the permissions a plain open(path, "w") gives a file
+    plain = tmp_path / "plain.json"
+    plain.write_text("")
+    assert fresh.stat().st_mode == plain.stat().st_mode
+
+
+class _DiskFullFile(io.FileIO):
+    """A file on a disk with room for `room` more bytes: a write past that
+    takes what fits, and the next one fails with ENOSPC, as write(2) does."""
+
+    room = 0
+
+    def write(self, b):
+        if not self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        n = super().write(bytes(b)[: self.room])
+        self.room -= n
+        return n
+
+
+def test_failed_json_write_leaves_no_byte_of_the_old_report(glued_file, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "report.json"
+    old = _fresh_report(["--generators", glued_file], out)
+    new = _fresh_report([glued_file], tmp_path / "fresh.json")
+    assert len(old) > len(new)
+    real_open = open
+
+    def full_disk_open(file, mode="r", **kwargs):
+        if "w" not in mode:
+            return real_open(file, mode, **kwargs)
+        raw = _DiskFullFile(file, mode, opener=kwargs.pop("opener", None))
+        raw.room = len(new) // 2  # the disk fills partway through the report
+        return io.TextIOWrapper(io.BufferedWriter(raw), **kwargs)
+
+    monkeypatch.setattr(wsh.cli, "open", full_disk_open, raising=False)
+    capsys.readouterr()
+    assert main(["--json", str(out), glued_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"wsh: error: cannot write {out}: No space left on device\n"
+    assert out.read_bytes() == b""
 
 
 def test_maximal_mode_through_cli(tmp_path, capsys):

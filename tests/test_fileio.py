@@ -163,6 +163,12 @@ _READER_ERRORS = [
      "line 2: label '#b' would not read back as one vertex"),
     ("a ; 1\n\ufeffb ; 1\n", False, InvalidSimplex, 2,
      "line 2: label '\\ufeffb' would not read back as one vertex"),
+    # with two bad labels, the first bad line of the file, not the first bad
+    # label in sorted order, is reported, with its own label
+    ("a ; 1\n\ufeffz ; 1\n\ufeffb ; 1\n", False, InvalidSimplex, 2,
+     "line 2: label '\\ufeffz' would not read back as one vertex"),
+    ("y #z ; 1\nb #a ; 1\n", True, InvalidSimplex, 1,
+     "line 1: label '#z' would not read back as one vertex"),
 ]
 
 
