@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 for usage errors, 2 for input that fails
-validation, 3 when --check finds a disagreement between the fast path and
-the verification path, or when the fast path's own consistency checks fail.
+validation or a report that cannot be written, 3 when --check finds a
+disagreement between the fast path and the verification path, or when the
+fast path's own consistency checks fail.
 """
 
 from __future__ import annotations
@@ -87,6 +88,22 @@ def _open_in_place(path, flags):
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
+def _drop_stdout():
+    # a failed write may leave bytes in sys.stdout's buffer, which the
+    # interpreter flushes again as it exits, printing "Exception ignored" when
+    # that fails too (the signal module's note on SIGPIPE): point fd 1 at
+    # os.devnull so that flush succeeds. A stream without a file descriptor
+    # (a StringIO in place of sys.stdout, whose fileno() raises
+    # io.UnsupportedOperation, a ValueError) is left alone
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 # built by the first main() call and reused: parsing leaves a parser unchanged
 _parser = None
 
@@ -160,31 +177,36 @@ def main(argv=None) -> int:
                 )
             return CHECK_MISMATCH
 
-    if args.json is not None:
-        payload = render_json_report(modules, field)
-        if args.json == "-":
-            sys.stdout.write(payload)
-        else:
-            regular = False
+    if args.json is None or args.json == "-":
+        render = render_text_report if args.json is None else render_json_report
+        report = render(modules, field)
+        try:
+            sys.stdout.write(report)
+            sys.stdout.flush()
+        except OSError as e:  # the reader of a pipe has gone, or the disk is full
+            _drop_stdout()
+            print(f"wsh: error: cannot write stdout: {e.strerror}", file=sys.stderr)
+            return INPUT_ERROR
+        return 0
+    payload = render_json_report(modules, field)
+    regular = False
+    try:
+        with open(args.json, "w", encoding="utf-8", opener=_open_in_place) as fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            fh.write(payload)
+            if regular:
+                fh.truncate()  # cut what is left of a longer old report
+    except OSError as e:
+        if regular:
+            # leave no byte of the old report behind a failed write; cut
+            # by path once closed, as the close may still have flushed
+            # part of the new one
             try:
-                with open(args.json, "w", encoding="utf-8", opener=_open_in_place) as fh:
-                    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-                    fh.write(payload)
-                    if regular:
-                        fh.truncate()  # cut what is left of a longer old report
-            except OSError as e:
-                if regular:
-                    # leave no byte of the old report behind a failed write; cut
-                    # by path once closed, as the close may still have flushed
-                    # part of the new one
-                    try:
-                        os.truncate(args.json, 0)
-                    except OSError:
-                        pass  # best effort: the message below is what counts
-                print(f"wsh: error: cannot write {args.json}: {e.strerror}", file=sys.stderr)
-                return INPUT_ERROR
-    else:
-        sys.stdout.write(render_text_report(modules, field))
+                os.truncate(args.json, 0)
+            except OSError:
+                pass  # best effort: the message below is what counts
+        print(f"wsh: error: cannot write {args.json}: {e.strerror}", file=sys.stderr)
+        return INPUT_ERROR
     return 0
 
 

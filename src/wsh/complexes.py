@@ -12,7 +12,7 @@ the i-th smallest vertex and carries sign (-1)^i.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from itertools import chain, combinations, repeat
 
 from .errors import (
@@ -266,62 +266,19 @@ def _completed(listed):
     return WeightedComplex(weights)
 
 
-class _Record:
-    """A slotted record compared and shown by its public fields.
+BoundaryMatrix = namedtuple("BoundaryMatrix", ["n", "row_simplices", "col_simplices", "columns"])
+BoundaryMatrix.__doc__ = """Sparse weighted boundary structure in dimension n.
 
-    The public fields are the slots without a leading underscore, in slot
-    order: == holds between two records of the same class whose public
-    fields are equal, and repr lists them as keyword arguments. A private
-    slot is bookkeeping, left out of both. Like any class that defines ==
-    without __hash__, a record is unhashable unless its class says how.
-    """
-
-    __slots__ = ()
-
-    def _public(self):
-        return tuple(getattr(self, f) for f in self.__slots__ if f[0] != "_")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._public() == other._public()
-
-    def __repr__(self):
-        fields = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
-        return f"{type(self).__qualname__}({', '.join(fields)})"
-
-
-class BoundaryMatrix(_Record):
-    """Sparse weighted boundary structure in dimension n.
-
-    Rows are the (n-1)-simplices, columns the n-simplices, both in the
-    complex's lexicographic order. Each column holds (row index, sign,
-    exponent) triples; the exponent is weight(face) - weight(simplex),
-    always non-negative by monotonicity. Dropping the exponents gives the
-    ordinary boundary matrix over a coefficient field. Immutable and
-    hashable. No library code builds one: the fast path (wsh.homology)
-    reads each column off the faces of its simplex, and the --check oracle
-    (wsh.oracle) reads boundary_rows.
-    """
-
-    __slots__ = ("n", "row_simplices", "col_simplices", "columns")
-
-    def __init__(self, n: int, row_simplices: tuple, col_simplices: tuple, columns: tuple):
-        for name, value in zip(self.__slots__, (n, row_simplices, col_simplices, columns)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self):
-        return hash(self._public())
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which alone may set the slots
-        return BoundaryMatrix, self._public()
+Rows are the (n-1)-simplices, columns the n-simplices, both in the
+complex's lexicographic order. Each column holds (row index, sign,
+exponent) triples; the exponent is weight(face) - weight(simplex),
+always non-negative by monotonicity. Dropping the exponents gives the
+ordinary boundary matrix over a coefficient field. A named tuple, as
+PairedSimplices is: immutable, hashable and equal to the plain tuple of
+its fields. No library code builds one: the fast path (wsh.homology)
+reads each column off the faces of its simplex, and the --check oracle
+(wsh.oracle) reads boundary_rows.
+"""
 
 
 def boundary_rows(X: WeightedComplex, n: int, plus, minus) -> list:

@@ -72,7 +72,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .complexes import WeightedComplex, _canonical_labels, _Record
+from .complexes import WeightedComplex, _canonical_labels
 
 # boundary_exponent_matrix is not called here; it stays bound for
 # perfbench/tracing.py, which looks it up through this module
@@ -97,6 +97,31 @@ __all__ = [
     "homology",
     "homology_all",
 ]
+
+
+class _Record:
+    """A slotted record compared and shown by its public fields.
+
+    The public fields are the slots without a leading underscore, in slot
+    order: == holds between two records of the same class whose public
+    fields are equal, and repr lists them as keyword arguments. A private
+    slot is bookkeeping, left out of both. Like any class that defines ==
+    without __hash__, a record is unhashable unless its class says how.
+    """
+
+    __slots__ = ()
+
+    def _public(self):
+        return tuple(getattr(self, f) for f in self.__slots__ if f[0] != "_")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._public() == other._public()
+
+    def __repr__(self):
+        fields = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
+        return f"{type(self).__qualname__}({', '.join(fields)})"
 
 
 class CycleBasis(_Record):
@@ -497,6 +522,8 @@ def simplex_pairing(
     with_cycles then roots the forest of independent edges instead of
     carrying cycles.
     """
+    if n < 0:
+        raise DimensionOutOfRange(n)
     weights = X._weights
     # dependent comes in processing order, so the stable sort by weight
     # alone breaks ties lexicographically

@@ -308,6 +308,58 @@ def test_unwritable_json_path_exits_2(glued_file, tmp_path, capsys):
     assert lines[0].startswith(f"wsh: error: cannot write {tmp_path}: ")
 
 
+class _BrokenStdout(io.StringIO):
+    """A stdout whose reader has gone: every write fails with EPIPE. Its
+    fileno(), a StringIO's, raises, so main() leaves fd 1 alone."""
+
+    def write(self, s):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full disk: writes are buffered, the flush fails."""
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "stdout, reason",
+    [(_BrokenStdout, "Broken pipe"), (_FullStdout, "No space left on device")],
+    ids=["write-epipe", "flush-enospc"],
+)
+@pytest.mark.parametrize("flags", [[], ["--json", "-"]], ids=["text", "json"])
+def test_unwritable_stdout_exits_2(flags, stdout, reason, glued_file, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", stdout())
+    assert main([*flags, glued_file]) == 2
+    assert capsys.readouterr().err == f"wsh: error: cannot write stdout: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, text",
+    [([], GLUED), (["--json", "-"], GLUED),
+     (["--generators"], serialize_complex(torus_grid_complex(12, random.Random(12))))],
+    ids=["text", "json", "generators"],
+)
+def test_closed_stdout_pipe_exits_2_without_a_traceback(flags, text, tmp_path):
+    # `wsh FILE | head` once head has quit: a report larger than the pipe's
+    # buffer too, and the interpreter's last flush must not complain either
+    path = tmp_path / "in.cplx"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(wsh.cli.__file__).parent.parent))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "wsh.cli", *flags, str(path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == "wsh: error: cannot write stdout: Broken pipe\n"
+
+
 def _fresh_report(argv, path):
     assert main(["--json", str(path), *argv]) == 0
     return path.read_bytes()

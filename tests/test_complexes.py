@@ -358,11 +358,13 @@ def test_boundary_matrix_is_an_immutable_value():
                           columns=(((1, 1, 1), (0, -1, 2)),))
     assert same == bm and hash(same) == hash(bm)
     assert BoundaryMatrix(1, bm.row_simplices, bm.col_simplices, ()) != bm
-    assert bm != (1, bm.row_simplices, bm.col_simplices, bm.columns)
+    # a named tuple, as PairedSimplices is: equal to the plain tuple of its fields
+    assert BoundaryMatrix._fields == ("n", "row_simplices", "col_simplices", "columns")
+    assert bm == (1, bm.row_simplices, bm.col_simplices, bm.columns)
     for name in ("n", "columns", "other"):
-        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        with pytest.raises(AttributeError):
             setattr(bm, name, 2)
-    with pytest.raises(AttributeError, match="cannot delete field 'n'"):
+    with pytest.raises(AttributeError):
         del bm.n
     assert bm.n == 1
     assert copy.copy(bm) == bm and copy.deepcopy(bm) == bm

@@ -113,6 +113,9 @@ _READER_ERRORS = [
     ("a ; x\n", False, ParseError, 1, "line 1: bad weight 'x': expected ASCII digits 0-9"),
     ("a ;\n", False, ParseError, 1, "line 1: bad weight '': expected ASCII digits 0-9"),
     ("a ; 1 2\n", False, ParseError, 1, "line 1: bad weight '1 2': expected ASCII digits 0-9"),
+    # comments are whole lines: a '#' after a record belongs to the record
+    ("a ; 1  # vertex a\n", False, ParseError, 1,
+     "line 1: bad weight '1  # vertex a': expected ASCII digits 0-9"),
     pytest.param(f"a ; {_HUGE_WEIGHT}\n", False, ParseError, 1,
                  f"line 1: bad weight '{_HUGE_WEIGHT}': expected ASCII digits 0-9",
                  id="5000-digit weight"),

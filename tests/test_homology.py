@@ -27,6 +27,7 @@ from wsh.homology import (
     homology,
     homology_all,
     lift_cycle,
+    simplex_pairing,
 )
 from .conftest import RATIONALS as Q
 from .conftest import GF2, random_weighted_complex, torus_grid_complex
@@ -304,6 +305,12 @@ def test_package_exports_what_the_readme_names():
 def test_homology_out_of_range(hollow_triangle):
     with pytest.raises(DimensionOutOfRange):
         homology(hollow_triangle, -1, Q)
+
+
+def test_simplex_pairing_out_of_range(hollow_triangle):
+    # refused before any work, as cycle_basis and homology refuse it
+    with pytest.raises(DimensionOutOfRange):
+        simplex_pairing(hollow_triangle, -1, cycle_basis(hollow_triangle, 0, Q), Q)
 
 
 def test_negative_pair_exponent_raises_under_optimize():
