@@ -1,9 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 for usage errors, 2 for input that fails
-validation or a report that cannot be written, 3 when --check finds a
-disagreement between the fast path and the verification path, or when the
-fast path's own consistency checks fail.
+validation or a report that cannot be written (a closed or missing stdout
+too), 3 when --check finds a disagreement between the fast path and the
+verification path, or when the fast path's own consistency checks fail.
+Each failure is one message on stderr; with stderr missing or closed
+nothing is printed, and the exit code is the same.
 """
 
 from __future__ import annotations
@@ -24,13 +26,20 @@ INPUT_ERROR = 2
 CHECK_MISMATCH = 3
 
 
+class _Exit(Exception):
+    """A run that ends early: raised as _Exit(code, message) wherever it
+    fails, and turned by main() alone into the message on stderr and the
+    code returned."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; this tool reserves 2 for input
     # validation, so usage problems exit 1 instead
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise _Exit(USAGE_ERROR, f"{self.format_usage()}{self.prog}: error: {message}")
+
+    def exit(self, status=0, message=None):  # after --help, with no message
+        raise _Exit(status, message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,9 +101,9 @@ def _drop_stdout():
     # a failed write may leave bytes in sys.stdout's buffer, which the
     # interpreter flushes again as it exits, printing "Exception ignored" when
     # that fails too (the signal module's note on SIGPIPE): point fd 1 at
-    # os.devnull so that flush succeeds. A stream without a file descriptor
-    # (a StringIO in place of sys.stdout, whose fileno() raises
-    # io.UnsupportedOperation, a ValueError) is left alone
+    # os.devnull so that flush succeeds. No stream (None), or one without a
+    # file descriptor (a StringIO in place of sys.stdout, whose fileno()
+    # raises io.UnsupportedOperation, a ValueError), is left alone
     try:
         fd = sys.stdout.fileno()
     except (AttributeError, ValueError):
@@ -113,38 +122,43 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = _build_parser()
     try:
-        args = _parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code
+        return _run(_parser.parse_args(argv))
+    except _Exit as e:
+        code, message = e.args
+        # with no stderr, or one that cannot be written, the code alone
+        # reports the failure
+        if message and sys.stderr is not None:
+            try:
+                print(message, file=sys.stderr)
+            except OSError:
+                pass
+        return code
 
+
+def _run(args) -> int:
     try:
         field = FieldSpec.from_name(args.field)
     except ValueError as e:
-        print(f"wsh: error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+        raise _Exit(USAGE_ERROR, f"wsh: error: {e}")
     if args.dim is not None and args.dim < 0:
-        print("wsh: error: --dim must be non-negative", file=sys.stderr)
-        return USAGE_ERROR
+        raise _Exit(USAGE_ERROR, "wsh: error: --dim must be non-negative")
 
     try:
         with open(args.file, "rb") as fh:
             data = fh.read()
     except OSError as e:
-        print(f"wsh: error: cannot read {args.file}: {e.strerror}", file=sys.stderr)
-        return INPUT_ERROR
+        raise _Exit(INPUT_ERROR, f"wsh: error: cannot read {args.file}: {e.strerror}")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         # numbered as parse_complex_file numbers lines; "?" stands for the bad byte
         line = len(split_lines(data[: e.start].decode("utf-8") + "?"))
-        print(f"wsh: error: {args.file}: line {line}: not UTF-8 text", file=sys.stderr)
-        return INPUT_ERROR
+        raise _Exit(INPUT_ERROR, f"wsh: error: {args.file}: line {line}: not UTF-8 text")
 
     try:
         X = parse_complex_file(text, complete=args.complete_faces)
     except (ParseError, ComplexError) as e:
-        print(f"wsh: error: {args.file}: {e}", file=sys.stderr)
-        return INPUT_ERROR
+        raise _Exit(INPUT_ERROR, f"wsh: error: {args.file}: {e}")
 
     try:
         if args.dim is not None:
@@ -153,8 +167,7 @@ def main(argv=None) -> int:
             modules = homology_all(X, field, with_generators=args.generators)
     except ComplexError as e:
         where = f"H_{args.dim}: " if args.dim is not None else ""
-        print(f"wsh: error: {where}{e}", file=sys.stderr)
-        return CHECK_MISMATCH
+        raise _Exit(CHECK_MISMATCH, f"wsh: error: {where}{e}")
 
     if args.check:
         mismatches = []
@@ -163,30 +176,29 @@ def main(argv=None) -> int:
             try:
                 free, torsion = homology_via_snf(X, mod.n, field, known)
             except PrecisionExhausted as e:
-                print(f"wsh: check failed at H_{mod.n}: {e}", file=sys.stderr)
-                return CHECK_MISMATCH
+                raise _Exit(CHECK_MISMATCH, f"wsh: check failed at H_{mod.n}: {e}")
             if (free, torsion) != (mod.free_rank, list(mod.torsion)):
-                mismatches.append((mod.n, (mod.free_rank, list(mod.torsion)), (free, torsion)))
-        if mismatches:
-            for n, fast, slow in mismatches:
-                print(
-                    f"wsh: check mismatch at H_{n}: "
-                    f"fast path {fast[0]} free {fast[1]} torsion, "
-                    f"verifier {slow[0]} free {slow[1]} torsion",
-                    file=sys.stderr,
+                mismatches.append(
+                    f"wsh: check mismatch at H_{mod.n}: "
+                    f"fast path {mod.free_rank} free {list(mod.torsion)} torsion, "
+                    f"verifier {free} free {torsion} torsion"
                 )
-            return CHECK_MISMATCH
+        if mismatches:
+            raise _Exit(CHECK_MISMATCH, "\n".join(mismatches))
 
     if args.json is None or args.json == "-":
         render = render_text_report if args.json is None else render_json_report
         report = render(modules, field)
         try:
+            if sys.stdout is None:  # fd 1 was closed when the interpreter started
+                import errno  # here only: `import wsh.cli` does not load it
+
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(report)
             sys.stdout.flush()
         except OSError as e:  # the reader of a pipe has gone, or the disk is full
             _drop_stdout()
-            print(f"wsh: error: cannot write stdout: {e.strerror}", file=sys.stderr)
-            return INPUT_ERROR
+            raise _Exit(INPUT_ERROR, f"wsh: error: cannot write stdout: {e.strerror}")
         return 0
     payload = render_json_report(modules, field)
     regular = False
@@ -205,8 +217,7 @@ def main(argv=None) -> int:
                 os.truncate(args.json, 0)
             except OSError:
                 pass  # best effort: the message below is what counts
-        print(f"wsh: error: cannot write {args.json}: {e.strerror}", file=sys.stderr)
-        return INPUT_ERROR
+        raise _Exit(INPUT_ERROR, f"wsh: error: cannot write {args.json}: {e.strerror}")
     return 0
 
 

@@ -22,6 +22,7 @@ reports on the first record in the file that holds such a label.
 
 from __future__ import annotations
 
+import sys
 from json.encoder import encode_basestring_ascii
 
 from .complexes import MAX_WEIGHT_DIGITS, WeightedComplex, _check_labels, _closed, _completed
@@ -78,12 +79,16 @@ def _decorate(err, line_of):
 
 def _weight(lineno, text, what):
     # int() alone would also take '1_0', '+3' and non-ASCII digits such as '٣'
-    if text.isascii() and text.isdigit() and len(text) <= MAX_WEIGHT_DIGITS:
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(lineno, f"bad {what} {text!r}: expected ASCII digits 0-9")
+    limit = MAX_WEIGHT_DIGITS
+    if len(text) <= limit:
         try:
             return int(text)
         except ValueError:  # the interpreter's limit was lowered below the cap
-            pass
-    raise ParseError(lineno, f"bad {what} {text!r}: expected ASCII digits 0-9")
+            limit = sys.get_int_max_str_digits()
+    # too long to echo: the message names the limit, not the digits
+    raise ParseError(lineno, f"bad {what}: more than {limit} digits")
 
 
 def parse_complex_file(text: str, complete: bool = False) -> WeightedComplex:

@@ -360,6 +360,66 @@ def test_closed_stdout_pipe_exits_2_without_a_traceback(flags, text, tmp_path):
     assert done.stderr == "wsh: error: cannot write stdout: Broken pipe\n"
 
 
+class _ClosedStream(io.StringIO):
+    """A stream on a closed or read-only descriptor: every write fails with EBADF."""
+
+    def write(self, s):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+@pytest.mark.parametrize("stderr", [lambda: None, _ClosedStream], ids=["none", "ebadf"])
+@pytest.mark.parametrize(
+    "case, code",
+    [("bogus-flag", 1), ("bad-field", 1), ("missing-face", 2), ("json-dir", 2),
+     ("check-mismatch", 3)],
+)
+def test_failures_keep_their_code_without_a_writable_stderr(
+    case, code, stderr, tetra_file, tmp_path, monkeypatch, capsys
+):
+    # with no stderr to write to, the exit code alone reports the failure:
+    # the message goes nowhere, and never to stdout
+    bad = tmp_path / "bad.cplx"
+    bad.write_text("a b ; 1\n")
+    argv = {
+        "bogus-flag": ["--bogus", tetra_file],
+        "bad-field": ["--field", "gf:4", tetra_file],
+        "missing-face": [str(bad)],
+        "json-dir": ["--json", str(tmp_path), tetra_file],
+        "check-mismatch": ["--check", tetra_file],
+    }[case]
+    monkeypatch.setattr(wsh.cli, "homology_via_snf", lambda X, n, field, known=None: (n, [7]))
+    monkeypatch.setattr(sys, "stderr", stderr())
+    assert main(argv) == code
+    assert "wsh:" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [[], ["--json", "-"]], ids=["text", "json"])
+def test_missing_stdout_exits_2(flags, glued_file, monkeypatch, capsys):
+    # the interpreter sets sys.stdout to None when it starts with fd 1 closed
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main([*flags, glued_file]) == 2
+    assert capsys.readouterr().err == "wsh: error: cannot write stdout: Bad file descriptor\n"
+
+
+def test_closed_stderr_or_stdout_keeps_the_exit_code(glued_file, tmp_path):
+    # `wsh bad.cplx 2>&-` and `wsh ok.cplx >&-` in a shell
+    bad = tmp_path / "bad.cplx"
+    bad.write_text("a b ; 1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(wsh.cli.__file__).parent.parent))
+    wsh_command = shlex.join([sys.executable, "-m", "wsh.cli"])
+
+    def run(path, redirect, **streams):
+        script = f"exec {wsh_command} {shlex.quote(str(path))} {redirect}"
+        return subprocess.run(["/bin/sh", "-c", script], env=env, text=True, **streams)
+
+    done = run(bad, "2>&-", stdout=subprocess.PIPE)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    done = run(glued_file, ">&-", stderr=subprocess.PIPE)
+    assert done.returncode == 2
+    assert done.stderr == "wsh: error: cannot write stdout: Bad file descriptor\n"
+
+
 def _fresh_report(argv, path):
     assert main(["--json", str(path), *argv]) == 0
     return path.read_bytes()

@@ -117,7 +117,7 @@ _READER_ERRORS = [
     ("a ; 1  # vertex a\n", False, ParseError, 1,
      "line 1: bad weight '1  # vertex a': expected ASCII digits 0-9"),
     pytest.param(f"a ; {_HUGE_WEIGHT}\n", False, ParseError, 1,
-                 f"line 1: bad weight '{_HUGE_WEIGHT}': expected ASCII digits 0-9",
+                 "line 1: bad weight: more than 4300 digits",
                  id="5000-digit weight"),
     ("a  a ; 1\n", False, ParseError, 1, "line 1: repeated vertex in 'a a'"),
     ("a a ; x\n", False, ParseError, 1, "line 1: repeated vertex in 'a a'"),
@@ -189,7 +189,8 @@ def test_reader_errors_pin_type_message_and_line(text, complete, exc, line, mess
 )
 def test_weight_digit_cap_does_not_depend_on_the_int_string_limit():
     # with no limit int() converts any length; the reader still caps weights
-    # at MAX_WEIGHT_DIGITS. With a lower limit, int() refuses first
+    # at MAX_WEIGHT_DIGITS. With a lower limit, int() refuses first, and the
+    # message names that limit
     longest = "1" * MAX_WEIGHT_DIGITS
     limit = sys.get_int_max_str_digits()
     try:
@@ -200,13 +201,12 @@ def test_weight_digit_cap_does_not_depend_on_the_int_string_limit():
         ]:
             with pytest.raises(ParseError) as ei:
                 parse_complex_file(text)
-            message = f"line 1: bad {what} '{_HUGE_WEIGHT}': expected ASCII digits 0-9"
-            assert str(ei.value) == message
+            assert str(ei.value) == f"line 1: bad {what}: more than {MAX_WEIGHT_DIGITS} digits"
             assert ei.value.line == 1
         for text in (f"a ; {longest}\n", f"!maximal {longest}\na\n"):
             assert parse_complex_file(text).weight(("a",)) == int(longest)
         sys.set_int_max_str_digits(640)
-        with pytest.raises(ParseError, match="^line 1: bad weight '1{1000}': expected"):
+        with pytest.raises(ParseError, match="^line 1: bad weight: more than 640 digits$"):
             parse_complex_file("a ; " + "1" * 1000)
     finally:
         sys.set_int_max_str_digits(limit)
