@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 for usage errors, 2 for input that fails
-validation or a report that cannot be written (a closed or missing stdout
-too), 3 when --check finds a disagreement between the fast path and the
-verification path, or when the fast path's own consistency checks fail.
+validation or a report or --help text that cannot be written (a closed or
+missing stdout too), 3 when --check finds a disagreement between the fast
+path and the verification path, or when the fast path's own consistency
+checks fail.
 Each failure is one message on stderr; with stderr missing or closed
 nothing is printed, and the exit code is the same.
 """
@@ -40,6 +41,12 @@ class _Parser(argparse.ArgumentParser):
 
     def exit(self, status=0, message=None):  # after --help, with no message
         raise _Exit(status, message)
+
+    # -h calls this with no file. argparse's own falls back to stderr
+    # without a stdout and ignores a failed write; the help leaves as the
+    # report does
+    def print_help(self, file=None):
+        _write_stdout(self.format_help())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,6 +118,19 @@ def _drop_stdout():
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
+
+
+def _write_stdout(text):
+    try:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            import errno  # here only: `import wsh.cli` does not load it
+
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as e:  # the reader of a pipe has gone, or the disk is full
+        _drop_stdout()
+        raise _Exit(INPUT_ERROR, f"wsh: error: cannot write stdout: {e.strerror}")
 
 
 # built by the first main() call and reused: parsing leaves a parser unchanged
@@ -188,17 +208,7 @@ def _run(args) -> int:
 
     if args.json is None or args.json == "-":
         render = render_text_report if args.json is None else render_json_report
-        report = render(modules, field)
-        try:
-            if sys.stdout is None:  # fd 1 was closed when the interpreter started
-                import errno  # here only: `import wsh.cli` does not load it
-
-                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            sys.stdout.write(report)
-            sys.stdout.flush()
-        except OSError as e:  # the reader of a pipe has gone, or the disk is full
-            _drop_stdout()
-            raise _Exit(INPUT_ERROR, f"wsh: error: cannot write stdout: {e.strerror}")
+        _write_stdout(render(modules, field))
         return 0
     payload = render_json_report(modules, field)
     regular = False

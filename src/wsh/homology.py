@@ -65,6 +65,14 @@ orders (the pairing lemma). And the row an owner picks has only ever had
 rows picked by lighter owners subtracted from it, each time at its
 current lightest owner; those rows come earlier in processing order, so
 the row is exactly the column this reduction has at pivot time.
+
+The result types are named tuples, as PairedSimplices and BoundaryMatrix
+are: each equals the plain tuple of its fields, unpacks, and has _fields
+and _asdict(). The fields cannot be reassigned, though the lists and dicts
+they hold can change, and those keep every result type unhashable.
+CycleBasis and SimplexPairing subclass theirs to carry private state,
+_forest and _columns, as instance attributes set where the state is made:
+==, repr and hash see the fields alone, and copy and pickle keep both.
 """
 
 from __future__ import annotations
@@ -99,32 +107,7 @@ __all__ = [
 ]
 
 
-class _Record:
-    """A slotted record compared and shown by its public fields.
-
-    The public fields are the slots without a leading underscore, in slot
-    order: == holds between two records of the same class whose public
-    fields are equal, and repr lists them as keyword arguments. A private
-    slot is bookkeeping, left out of both. Like any class that defines ==
-    without __hash__, a record is unhashable unless its class says how.
-    """
-
-    __slots__ = ()
-
-    def _public(self):
-        return tuple(getattr(self, f) for f in self.__slots__ if f[0] != "_")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._public() == other._public()
-
-    def __repr__(self):
-        fields = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
-        return f"{type(self).__qualname__}({', '.join(fields)})"
-
-
-class CycleBasis(_Record):
+class CycleBasis(namedtuple("CycleBasis", ["n", "dependent", "independent", "cycles"])):
     """Split of the n-simplices produced by the boundary column reduction.
 
     dependent: simplices owning a cycle, in processing order.
@@ -133,34 +116,20 @@ class CycleBasis(_Record):
     owner has coefficient one and minimal weight within the support. Left
     empty by a reduction that carries no chains, and by the edge pass
     (_edge_forest), which roots the forest of independent edges instead
-    (_forest, None unless asked for, and left out of == and repr): each
+    and sets it as _forest (an attribute, None unless asked for): each
     edge cycle is pushed out of it from its owner coordinates when it is
     needed (_pusher), as cycle_basis(X, 1) does for every dependent edge.
     """
 
-    __slots__ = ("n", "dependent", "independent", "cycles", "_forest")
-
-    def __init__(self, n: int, dependent: list, independent: list, cycles: dict,
-                 _forest: tuple | None = None):
-        self.n = n
-        self.dependent = dependent
-        self.independent = independent
-        self.cycles = cycles
-        self._forest = _forest
+    _forest = None
 
 
-class WeightedChain(_Record):
-    """Chain with pi-polynomial coefficients, one term list per simplex.
+WeightedChain = namedtuple("WeightedChain", ["n", "terms"])
+WeightedChain.__doc__ = """Chain with pi-polynomial coefficients, one term list per simplex.
 
-    terms maps a simplex to a tuple of (exponent, field scalar) pairs with
-    strictly increasing exponents.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict):
-        self.n = n
-        self.terms = terms
+terms maps a simplex to a tuple of (exponent, field scalar) pairs with
+strictly increasing exponents.
+"""
 
 
 # kappa: the dependent n-simplex owning the cycle; mu: the independent
@@ -168,46 +137,31 @@ class WeightedChain(_Record):
 PairedSimplices = namedtuple("PairedSimplices", ["kappa", "mu", "m"])
 
 
-class SimplexPairing(_Record):
+class SimplexPairing(namedtuple("SimplexPairing", ["n", "pairs", "unpaired", "up"])):
     """Pairs of dimension n, read off one reduction of the (n+1)-boundary.
 
     pairs come in owner order (cycle owners by increasing weight). unpaired
     owners correspond to free summands. up is the split of the
-    (n+1)-simplices made by the same reduction. _columns, left out of ==
-    and repr, is (owners, columns): the cycle owners by increasing weight,
-    and for each pair its image's boundary column at pivot time, as the
-    reduction stored it, the pivot entry c and the rest as {owner position:
-    scalar}, in whatever key order the reduction left; a torsion generator
-    reads its pair's.
+    (n+1)-simplices made by the same reduction. simplex_pairing sets
+    _columns, an attribute, to (owners, columns): the cycle owners by
+    increasing weight, and for each pair its image's boundary column at
+    pivot time, as the reduction stored it, the pivot entry c and the rest
+    as {owner position: scalar}, in whatever key order the reduction left;
+    a torsion generator reads its pair's.
     """
 
-    __slots__ = ("n", "pairs", "unpaired", "up", "_columns")
-
-    def __init__(self, n: int, pairs: list, unpaired: list, up: CycleBasis, _columns: tuple):
-        self.n = n
-        self.pairs = pairs
-        self.unpaired = unpaired
-        self.up = up
-        self._columns = _columns
+    _columns = None
 
 
-class HomologyModule(_Record):
-    """H_n as R^free_rank plus one R/(pi^m) summand per torsion entry.
+HomologyModule = namedtuple(
+    "HomologyModule", ["n", "free_rank", "torsion", "pairing", "generators"], defaults=(None,)
+)
+HomologyModule.__doc__ = """H_n as R^free_rank plus one R/(pi^m) summand per torsion entry.
 
-    torsion is sorted ascending. generators, when requested, line up with
-    the rendered module: free generators first, then torsion generators in
-    torsion order. All generators are cycles of the weighted boundary map.
-    """
-
-    __slots__ = ("n", "free_rank", "torsion", "pairing", "generators")
-
-    def __init__(self, n: int, free_rank: int, torsion: list, pairing: SimplexPairing,
-                 generators: list | None = None):
-        self.n = n
-        self.free_rank = free_rank
-        self.torsion = torsion
-        self.pairing = pairing
-        self.generators = generators
+torsion is sorted ascending. generators, when requested, line up with
+the rendered module: free generators first, then torsion generators in
+torsion order. All generators are cycles of the weighted boundary map.
+"""
 
 
 def _add_multiple(target, factor, source, field):
@@ -323,7 +277,7 @@ def _edge_forest(X, owners, field, rooted):
     time. Only find compresses paths. Once all but one vertex are pivots,
     the edges left are dependent. Returns what _reduce does, with
     (edge, c, {y: -c}) at each pivot position, but never cycles: when
-    rooted is set, the basis carries the forest of independent edges
+    rooted is set, the basis's _forest is the forest of independent edges
     instead, each tree rooted at its lightest vertex, and _pusher builds any
     edge cycle from it. The forest is (order, rank, link): the edges in
     processing order; vertex label -> rank, every vertex ranked after its
@@ -363,7 +317,7 @@ def _edge_forest(X, owners, field, rooted):
         taken[kappa] = (s, c, {y: d})
         independent.append(s)
         tree.append((i, a, b))
-    forest = None
+    basis = CycleBasis(1, dependent, independent, {})
     if rooted:
         # rank each tree from its first owner outwards; a vertex reached
         # from its edge's first vertex is that edge's second, so goes up -1
@@ -385,8 +339,8 @@ def _edge_forest(X, owners, field, rooted):
                         rank[w] = len(link)
                         link.append((rank[v], i, up))
                         stack.append(w)
-        forest = (order, {v: rank[k] for v, k in position.items()}, link)
-    return CycleBasis(1, dependent, independent, {}, forest), taken
+        basis._forest = (order, {v: rank[k] for v, k in position.items()}, link)
+    return basis, taken
 
 
 def _pusher(forest, field):
@@ -476,7 +430,7 @@ def _lift(chain, weight_of):
     weights = list(map(weight_of, support))
     wmin = min(weights)
     terms = {s: ((w - wmin, chain[s]),) for s, w in zip(support, weights)}
-    return WeightedChain(len(support[0]) - 1, terms)
+    return WeightedChain._make((len(support[0]) - 1, terms))
 
 
 def lift_cycle(chain: dict, X: WeightedComplex, field: FieldSpec) -> WeightedChain:
@@ -546,16 +500,18 @@ def simplex_pairing(
             )
         pairs.append(PairedSimplices._make((kappa, mu, m)))
         columns.append((c, rest))
-    return SimplexPairing(n, pairs, unpaired, up, (owners, columns))
+    pairing = SimplexPairing(n, pairs, unpaired, up)
+    pairing._columns = (owners, columns)
+    return pairing
 
 
 def _module_from_pairing(X, n, basis_n, pairing, field, with_generators):
-    free_rank = len(basis_n.dependent) - len(pairing.pairs)
+    pairs = pairing.pairs
+    free_rank = len(basis_n.dependent) - len(pairs)
     torsion_pairs = sorted(
-        (i for i in range(len(pairing.pairs)) if pairing.pairs[i].m >= 1),
-        key=lambda i: (pairing.pairs[i].m, i),
+        (i for i, p in enumerate(pairs) if p.m >= 1), key=lambda i: (pairs[i].m, i)
     )
-    torsion = [pairing.pairs[i].m for i in torsion_pairs]
+    torsion = [pairs[i].m for i in torsion_pairs]
     generators = None
     if with_generators:
         # the cycle fixed by owner coordinates: a vertex is its own cycle, an
@@ -574,7 +530,7 @@ def _module_from_pairing(X, n, basis_n, pairing, field, with_generators):
         generators = [_lift(chain_of({kappa: one}), weight_of) for kappa in pairing.unpaired]
         owners, columns = pairing._columns
         for i in torsion_pairs:
-            kappa = pairing.pairs[i].kappa
+            kappa = pairs[i].kappa
             c, rest = columns[i]
             part = {kappa: c, **{owners[k]: v for k, v in rest.items()}}
             lifted = _lift(chain_of(part), weight_of)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -184,6 +185,33 @@ def torus_grid_complex(k, rng):
                     floor[face] = max(floor.get(face, 0), w)
         for face in sorted(floor):
             weights[face] = floor[face] + rng.randint(0, 2)
+    return build_complex(weights.items())
+
+
+def rips_complex(p, rng):
+    """Planar Rips-like complex on p random points of the unit square.
+
+    The points come from rng, x then y, labelled v0, v1, ... in that order.
+    Every set of up to four points pairwise at most 0.3 apart is a simplex
+    of weight 100 - ceil(100 * diameter), so no face is lighter than its
+    cofaces. rips_complex(p, random.Random(p)) is ROADMAP.md's Rips-p:
+    Rips-60 has 3,426 simplices and Rips-90 has 18,609.
+    """
+    points = [(rng.random(), rng.random()) for _ in range(p)]
+    # the later points near each point, so each clique is grown once
+    near = [{j for j in range(i + 1, p) if math.dist(points[i], points[j]) <= 0.3}
+            for i in range(p)]
+    weights = {}
+
+    def grow(clique, diameter, candidates):
+        weights[tuple(f"v{i}" for i in clique)] = 100 - math.ceil(100 * diameter)
+        if len(clique) < 4:
+            for j in sorted(candidates):
+                d = max(diameter, *(math.dist(points[i], points[j]) for i in clique))
+                grow(clique + [j], d, candidates & near[j])
+
+    for i in range(p):
+        grow([i], 0.0, near[i])
     return build_complex(weights.items())
 
 

@@ -197,6 +197,59 @@ def weight_shift_violations(X, field, shift=3):
     return []
 
 
+def reweighting_violations(X, field):
+    """The pairs under the reweighting f(w) = w^2 + 5.
+
+    The pairs depend on the weights only through their order (Zomorodian
+    and Carlsson, Computing persistent homology, 2005), and f is strictly
+    increasing on the non-negative weights a complex holds. So the complex
+    with every weight w replaced by f(w) pairs the same simplices, in the
+    same order, and leaves the same owners unpaired, with
+    m = f(w(kappa)) - f(w(mu)).
+    """
+
+    def f(w):
+        return w * w + 5
+
+    weight = {s: X.weight(s) for s in X.simplices()}
+    Y = build_complex([(s, f(w)) for s, w in weight.items()])
+    bad = []
+    for before, after in zip(homology_all(X, field), homology_all(Y, field), strict=True):
+        n, pairing = before.n, before.pairing
+        expected = [(k, mu, f(weight[k]) - f(weight[mu])) for k, mu, _m in pairing.pairs]
+        if after.pairing.pairs != expected:
+            bad.append(f"n={n}: reweighting changed the pairs or their exponents")
+        if after.pairing.unpaired != pairing.unpaired:
+            bad.append(f"n={n}: reweighting changed the unpaired owners")
+    return bad
+
+
+def sublevel_betti_violations(X, field):
+    """The bars alive at each weight a number the Betti numbers of X_a.
+
+    X_a, the simplices of weight at least a, is a subcomplex, since no face
+    is lighter than its cofaces. A bar of H_n is born at w(kappa) and dies
+    at w(mu), or never when kappa is unpaired; those born at or above a and
+    still alive below it number beta_n(X_a) over the field (Edelsbrunner
+    and Harer, Computational Topology, 2010). The engine gives beta_n(X_a)
+    as the free rank of X_a at constant weight, where its processing order
+    is lexicographic alone.
+    """
+    weight = {s: X.weight(s) for s in X.simplices()}
+    modules = homology_all(X, field)
+    bad = []
+    for a in sorted(set(weight.values())):
+        sub = build_complex([(s, 0) for s, w in weight.items() if w >= a])
+        betti = [m.free_rank for m in homology_all(sub, field)]
+        for mod in modules:
+            alive = sum(weight[k] >= a > weight[mu] for k, mu, _m in mod.pairing.pairs)
+            alive += sum(weight[k] >= a for k in mod.pairing.unpaired)
+            expected = betti[mod.n] if mod.n < len(betti) else 0
+            if alive != expected:
+                bad.append(f"a={a}, n={mod.n}: {alive} bars alive, beta_n(X_a) = {expected}")
+    return bad
+
+
 def relabel_violations(X, field, rng):
     labels = sorted({v for s in X.simplices() for v in s})
     names = [f"w{i:03d}" for i in range(len(labels))]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import io
@@ -416,6 +417,35 @@ def test_closed_stderr_or_stdout_keeps_the_exit_code(glued_file, tmp_path):
     assert done.returncode == 2
     assert done.stdout == ""
     done = run(glued_file, ">&-", stderr=subprocess.PIPE)
+    assert done.returncode == 2
+    assert done.stderr == "wsh: error: cannot write stdout: Bad file descriptor\n"
+
+
+def test_help_writes_what_argparse_writes(capsys):
+    assert main(["--help"]) == 0
+    expected = io.StringIO()
+    argparse.ArgumentParser.print_help(wsh.cli._build_parser(), expected)
+    assert capsys.readouterr() == (expected.getvalue(), "")
+
+
+@pytest.mark.parametrize(
+    "stdout, reason",
+    [(lambda: None, "Bad file descriptor"), (_BrokenStdout, "Broken pipe")],
+    ids=["none", "write-epipe"],
+)
+def test_help_on_an_unwritable_stdout_exits_2(stdout, reason, monkeypatch, capsys):
+    # argparse's own print_help writes to stderr without a stdout and
+    # ignores a failed write, and the run exits 0
+    monkeypatch.setattr(sys, "stdout", stdout())
+    assert main(["--help"]) == 2
+    assert capsys.readouterr().err == f"wsh: error: cannot write stdout: {reason}\n"
+
+
+def test_help_with_stdout_closed_exits_2():
+    # `wsh --help >&-` in a shell
+    env = dict(os.environ, PYTHONPATH=str(Path(wsh.cli.__file__).parent.parent))
+    script = f"exec {shlex.join([sys.executable, '-m', 'wsh.cli', '--help'])} >&-"
+    done = subprocess.run(["/bin/sh", "-c", script], env=env, text=True, stderr=subprocess.PIPE)
     assert done.returncode == 2
     assert done.stderr == "wsh: error: cannot write stdout: Bad file descriptor\n"
 

@@ -462,39 +462,68 @@ def test_result_types_repr_their_public_fields_in_order():
     assert repr(HomologyModule(0, 0, [], mod.pairing)).endswith(", generators=None)")
 
 
+def _assert_fields_are_fixed(value):
+    # a named tuple's fields cannot be reassigned or deleted, and the lists
+    # and dicts they hold keep it unhashable
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(TypeError):
+        hash(value)
+
+
 def test_cycle_basis_equality_leaves_out_the_forest():
     X = build_complex([(("a",), 1), (("b",), 1), (("c",), 1),
                        (("a", "b"), 1), (("a", "c"), 1), (("b", "c"), 1)])
     basis = cycle_basis(X, 1, Q)
+    assert CycleBasis._fields == ("n", "dependent", "independent", "cycles")
+    assert basis == (1, basis.dependent, basis.independent, basis.cycles)
+    n, dependent, independent, cycles = basis
+    assert basis._asdict() == {"n": n, "dependent": dependent, "independent": independent,
+                               "cycles": cycles}
     assert basis._forest is not None
     bare = CycleBasis(1, basis.dependent, basis.independent, basis.cycles)
-    assert bare._forest is None
+    assert bare._forest is None and "_forest" not in vars(bare)
     assert bare == basis and basis == bare
-    assert bare == CycleBasis(n=1, dependent=list(basis.dependent),
-                              independent=list(basis.independent),
-                              cycles=dict(basis.cycles), _forest=("another", "forest"))
+    other = CycleBasis(n=1, dependent=list(basis.dependent),
+                       independent=list(basis.independent), cycles=dict(basis.cycles))
+    other._forest = ("another", "forest")
+    assert other == bare and repr(other) == repr(bare)
     assert bare != CycleBasis(1, basis.dependent, basis.independent, {})
     assert bare != CycleBasis(2, basis.dependent, basis.independent, basis.cycles)
     assert "_forest" not in repr(basis)
-    assert bare.__eq__((1, basis.dependent, basis.independent, basis.cycles)) is NotImplemented
+    for copied in (copy.copy(basis), copy.deepcopy(basis), pickle.loads(pickle.dumps(basis))):
+        assert copied == basis and copied._forest == basis._forest
+    _assert_fields_are_fixed(basis)
 
 
 def test_simplex_pairing_equality_leaves_out_the_columns():
     pairing = _edge_module().pairing
-    other = SimplexPairing(pairing.n, list(pairing.pairs), list(pairing.unpaired), pairing.up,
-                           _columns=((), ()))
-    assert other == pairing and other._columns == ((), ())
-    assert SimplexPairing(0, [], pairing.unpaired, pairing.up, pairing._columns) != pairing
+    assert SimplexPairing._fields == ("n", "pairs", "unpaired", "up")
+    assert pairing == (0, pairing.pairs, pairing.unpaired, pairing.up)
+    n, pairs, unpaired, up = pairing
+    assert pairing._asdict() == {"n": n, "pairs": pairs, "unpaired": unpaired, "up": up}
+    assert pairing._columns is not None
+    other = SimplexPairing(pairing.n, list(pairing.pairs), list(pairing.unpaired), pairing.up)
+    assert other._columns is None
+    other._columns = ((), ())
+    assert other == pairing and repr(other) == repr(pairing)
+    assert SimplexPairing(0, [], pairing.unpaired, pairing.up) != pairing
     assert "_columns" not in repr(pairing)
-    with pytest.raises(TypeError):
-        SimplexPairing(pairing.n, pairing.pairs, pairing.unpaired, pairing.up)
+    for copied in (copy.deepcopy(pairing), pickle.loads(pickle.dumps(pairing))):
+        assert copied == pairing and copied._columns == pairing._columns
+    _assert_fields_are_fixed(pairing)
 
 
 def test_homology_module_and_weighted_chain_compare_field_by_field():
     mod = _edge_module()
+    assert HomologyModule._fields == ("n", "free_rank", "torsion", "pairing", "generators")
+    assert WeightedChain._fields == ("n", "terms")
     same = HomologyModule(n=0, free_rank=1, torsion=[1], pairing=mod.pairing,
                           generators=list(mod.generators))
-    assert same == mod
+    assert same == mod == (0, 1, [1], mod.pairing, mod.generators)
     assert HomologyModule(0, 1, [1], mod.pairing) != mod
     assert HomologyModule(0, 1, [1], mod.pairing).generators is None
     assert HomologyModule(0, 2, [1], mod.pairing, mod.generators) != mod
@@ -502,13 +531,14 @@ def test_homology_module_and_weighted_chain_compare_field_by_field():
     assert chain == WeightedChain(n=0, terms={("a",): ((1, -1),), ("b",): ((0, 1),)})
     assert chain != WeightedChain(1, chain.terms)
     assert chain != WeightedChain(0, {("b",): ((0, 1),)})
-    assert chain != (0, chain.terms)
+    assert chain == (0, chain.terms) and chain._asdict() == {"n": 0, "terms": chain.terms}
     for copied in (copy.deepcopy(mod), pickle.loads(pickle.dumps(mod))):
         assert copied == mod and copied.pairing._columns == mod.pairing._columns
-    # mutable records, so unhashable, as dataclasses with eq make them
-    for value in (mod, mod.pairing, mod.pairing.up, chain):
-        with pytest.raises(TypeError):
-            hash(value)
+    # the lists and dicts the fields hold can still change
+    chain.terms[("c",)] = ((0, 1),)
+    assert ("c",) in mod.generators[1].terms
+    for value in (mod, chain):
+        _assert_fields_are_fixed(value)
 
 
 def test_paired_simplices_is_a_named_tuple():

@@ -6,13 +6,15 @@ from wsh.fileio import parse_complex_file
 from wsh.homology import homology_all
 from wsh.oracle import homology_via_snf
 from . import invariants
-from .conftest import GF2, RATIONALS, simplex_boundary_maximal, torus_grid_complex
+from .conftest import GF2, RATIONALS, rips_complex, simplex_boundary_maximal, torus_grid_complex
 from .invariants import (
     boundary_squared_violations,
     cycle_basis_violations,
     generator_violations,
     pairing_violations,
     relabel_violations,
+    reweighting_violations,
+    sublevel_betti_violations,
     weight_shift_violations,
 )
 
@@ -94,6 +96,29 @@ def test_generator_validity_at_real_sizes(field):
         X = torus_grid_complex(k, random.Random(k))
         assert any(m.torsion for m in homology_all(X, field))
         assert generator_violations(X, field) == []
+
+
+def test_rips_family_has_the_roadmap_sizes():
+    sizes = {}
+    for p in (60, 90):
+        X = rips_complex(p, random.Random(p))
+        sizes[p] = [len(X.n_simplices(n)) for n in range(X.dim + 1)]
+    assert sum(sizes[60]) == 3426
+    assert sizes[90] == [90, 939, 4474, 13106]
+
+
+# checks at scale that need no oracle: each reads the pairs of the whole
+# complex against a second run of the engine on a changed complex
+@pytest.mark.parametrize("field", [RATIONALS, GF2], ids=lambda f: f.name)
+def test_monotone_reweighting_keeps_the_pairs_at_scale(field):
+    for X in (rips_complex(90, random.Random(90)), torus_grid_complex(40, random.Random(40))):
+        assert reweighting_violations(X, field) == []
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF2], ids=lambda f: f.name)
+def test_bars_count_the_sublevel_betti_numbers_at_scale(field):
+    for X in (rips_complex(60, random.Random(60)), torus_grid_complex(40, random.Random(40))):
+        assert sublevel_betti_violations(X, field) == []
 
 
 def test_generator_check_names_a_lowered_exponent(monkeypatch):
